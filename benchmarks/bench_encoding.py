@@ -27,10 +27,10 @@ acceptance contract breaks:
 instead, writing ``BENCH_fused.json``:
 
 * **cold flush as one pipeline**: a cold kernel-row block executed unfused
-  (encode -> store writes -> block sweep) versus fused
-  (:class:`repro.engine.plan.FusedEncodeOverlapPlan`; store written after
-  the sweep).  A probe store counts the store writes sitting on the
-  critical path -- the fused pipeline must show **zero** -- with
+  (``encode_rows`` -> store writes -> block sweep, composed from public
+  pieces) versus fused (:meth:`repro.engine.KernelEngine.kernel_rows`;
+  store written after the sweep).  A probe store counts the store writes
+  sitting on the critical path -- the fused pipeline must show **zero** -- with
   byte-identical kernels and identical hit/miss accounting required;
 * **prefix-sharing encode tree**: a mixed-ansatz batch encoded with and
   without prefix sharing; stacked launches, fork count and wall time per
@@ -193,7 +193,7 @@ def build_classifier(args, batch_encoding: bool) -> StreamingNystroemClassifier:
     )
     phi = feature_map.fit_transform(X)
     model = LinearSVC(C=1.0).fit(phi, y)
-    return StreamingNystroemClassifier(feature_map, model, buffer_size=args.batch)
+    return StreamingNystroemClassifier(feature_map, model)
 
 
 def run_cold_serving(args, mode_rng_seed: int = 11) -> tuple[list[dict], list[str]]:
@@ -270,7 +270,12 @@ class _ProbeStore(StateStore):
 
 
 def _fused_flush_once(args, X_cold, train_states, block, fused: bool) -> dict:
-    """One cold flush through a fresh engine, instrumented end to end."""
+    """One cold flush through a fresh engine, instrumented end to end.
+
+    The fused arm is :meth:`KernelEngine.kernel_rows`; the unfused arm runs
+    the same work as ``encode_rows`` (which writes the store) followed by
+    the backend's block sweep.
+    """
     ansatz = AnsatzConfig(
         num_features=args.features,
         interaction_distance=args.distance,
@@ -280,7 +285,7 @@ def _fused_flush_once(args, X_cold, train_states, block, fused: bool) -> dict:
     events: list = []
     engine = KernelEngine(
         ansatz,
-        config=EngineConfig(use_cache=True, fused_pipeline=fused),
+        config=EngineConfig(use_cache=True),
         store=_ProbeStore(events),
     )
     original = engine.backend.inner_product_block
@@ -290,23 +295,33 @@ def _fused_flush_once(args, X_cold, train_states, block, fused: bool) -> dict:
         return original(bras, blk)
 
     engine.backend.inner_product_block = spy
+    stats0 = engine.store.stats()
     start = time.perf_counter()
-    result = engine.kernel_rows(X_cold, train_states, block=block)
+    if fused:
+        matrix = engine.kernel_rows(X_cold, train_states, block=block).matrix
+    else:
+        engine.backend.reset_counters()
+        states = engine.encode_rows(X_cold)
+        matrix = np.abs(engine.backend.inner_product_block(states, block).values) ** 2
     wall = time.perf_counter() - start
+    stats1 = engine.store.stats()
+    summary = engine.backend.timing_summary()
     sweep_at = events.index(("block",))
     return {
         "mode": "fused" if fused else "unfused",
         "wall_s": wall,
-        "matrix_bytes": result.matrix.tobytes(),
+        "matrix_bytes": matrix.tobytes(),
         "critical_path_store_writes": sum(
             1 for e in events[:sweep_at] if e == ("put",)
         ),
         "store_writes_total": sum(1 for e in events if e == ("put",)),
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
-        "num_simulations": result.num_simulations,
-        "modelled_total_s": result.modelled_total_time_s,
-        "modelled_batched_total_s": result.modelled_batched_total_time_s,
+        "cache_hits": stats1.hits - stats0.hits,
+        "cache_misses": stats1.misses - stats0.misses,
+        "num_simulations": int(summary["num_simulations"]),
+        "modelled_total_s": summary["modelled_simulation_time_s"]
+        + summary["modelled_inner_product_time_s"],
+        "modelled_batched_total_s": summary["modelled_batched_simulation_time_s"]
+        + summary["modelled_batched_inner_product_time_s"],
     }
 
 

@@ -150,7 +150,7 @@ def run_baseline(args, stream: np.ndarray) -> tuple[np.ndarray, dict]:
 def run_queue(args, stream: np.ndarray, max_batch: int, memoize: bool) -> tuple[np.ndarray, dict]:
     engine = build_engine(args)
     queue = AsyncServingQueue(
-        engine.streaming_classifier(buffer_size=max_batch),
+        engine.streaming_classifier(),
         max_batch=max_batch,
         max_wait_ms=args.max_wait_ms,
         memoize=memoize,
@@ -317,7 +317,7 @@ def run_jitter_pass(
         engine = build_engine(args)
         replicas.append(
             AsyncServingQueue(
-                engine.streaming_classifier(buffer_size=32),
+                engine.streaming_classifier(),
                 max_batch=32,
                 max_wait_ms=args.max_wait_ms,
                 wait_jitter_ms=wait_jitter_ms,

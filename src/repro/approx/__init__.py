@@ -13,10 +13,9 @@ layered on the unified :class:`~repro.engine.KernelEngine`:
   eigendecomposition;
 * :mod:`~repro.approx.linear_svc` -- a primal squared-hinge linear SVM
   trained by semismooth Newton in the feature space, ``O(n m^2)`` overall;
-* :mod:`~repro.approx.streaming` -- micro-batched classification of newly
-  arriving points via one :class:`~repro.engine.plan.KernelRowPlan` against
-  the cached landmark states (``m`` overlaps per query, constant memory in
-  ``n``);
+* :mod:`~repro.approx.streaming` -- batched classification of newly
+  arriving points via one kernel-row block sweep against the cached
+  landmark states (``m`` overlaps per query, constant memory in ``n``);
 * :mod:`~repro.approx.drift` -- the online adaptation loop: a rolling
   conformal-coverage alarm, shadow refits that grow the landmark set from
   poorly reconstructed traffic, and atomic hot swaps into the serving tier.

@@ -18,18 +18,15 @@ primal linear SVM (:mod:`repro.approx.linear_svc`) in ``O(n m^2)`` instead of
 against the *cached* landmark states instead of ``n`` against the full
 training set (:mod:`repro.approx.streaming`).
 
-All engine work is declared through the existing pairwise plans -- a
-:class:`~repro.engine.plan.SymmetricGramPlan` over the landmarks, a
-:class:`~repro.engine.plan.CrossGramPlan` for the ``n x m`` cross block, and
-a :class:`~repro.engine.plan.KernelRowPlan` per streaming transform -- so the
-landmark states are encoded once into the engine's
-:class:`~repro.engine.StateStore` and every executor (sequential, tiled,
-multiprocess tiles) applies unchanged.  With the sequential executor the
-``K_nm`` block runs as **one stacked block sweep**
-(``EngineConfig.cross_block_sweep``), and an engine built with a
-``cross_backend`` dispatches that sweep to whichever device's cost model
-predicts the cheaper stacked einsum -- the Fig. 5 crossover decision applied
-to the Nystrom fit, modelled rather than hardcoded.
+All engine work goes through :class:`~repro.engine.KernelEngine` -- a
+symmetric Gram matrix over the landmarks, one cross block for ``K_nm`` and
+one kernel-row call per streaming transform -- so the landmark states are
+encoded once into the engine's :class:`~repro.engine.StateStore` and every
+executor (sequential, tiled, multiprocess tiles) applies unchanged.  In
+process the ``K_nm`` block runs as **one stacked block sweep**, and an engine
+built with a ``cross_backend`` dispatches that sweep to whichever device's
+cost model predicts the cheaper stacked einsum -- the Fig. 5 crossover
+decision applied to the Nystrom fit, modelled rather than hardcoded.
 """
 
 from __future__ import annotations
@@ -280,9 +277,9 @@ class NystroemFeatureMap:
         # against this block with zero per-pair stacking.
         self.landmark_block_ = StackedStateBlock(states)
 
-        # One stacked block sweep under the sequential executor (and the
-        # modelled CPU/GPU dispatch point when the engine has a
-        # cross_backend); tiled / multiprocess keep their job streams.
+        # One stacked block sweep in process (and the modelled CPU/GPU
+        # dispatch point when the engine has a cross_backend); the
+        # multiprocess executor fans the block out over tiles instead.
         cross_result = self.engine.cross(X, self.landmark_states_)
         self.report.absorb(cross_result)
         K_nm = cross_result.matrix
@@ -363,7 +360,7 @@ class NystroemFeatureMap:
 
     # ------------------------------------------------------------------
     def transform(self, X_new: np.ndarray) -> np.ndarray:
-        """Feature matrix of new (scaled) rows: one ``KernelRowPlan``.
+        """Feature matrix of new (scaled) rows: one kernel-row block sweep.
 
         Each row costs ``m`` overlaps against the cached landmark states --
         the training set itself is never touched.

@@ -2,36 +2,30 @@
 
 The serving story of the exact path computes ``n_train`` overlaps per query.
 With a Nystrom model the hot path shrinks to ``m`` overlaps against the
-*cached landmark states* -- one :class:`~repro.engine.plan.KernelRowPlan` per
-arriving batch -- followed by two small matrix products (the ``m x r``
-normalisation and the ``r``-dimensional linear model).  The full training set
-is never touched after fit, so a serving process only has to hold the
-landmark states, the normalisation and the weight vector: constant memory in
-the training-set size.
+*cached landmark states* -- one :meth:`repro.engine.KernelEngine.kernel_rows`
+call per arriving batch -- followed by two small matrix products (the
+``m x r`` normalisation and the ``r``-dimensional linear model).  The full
+training set is never touched after fit, so a serving process only has to
+hold the landmark states, the normalisation and the weight vector: constant
+memory in the training-set size.
 
-:class:`StreamingNystroemClassifier` supports both immediate batch
-classification (:meth:`classify`) and record-at-a-time ingestion with
-micro-batching (:meth:`submit` / :meth:`flush`), the pattern a traffic-facing
-service uses to amortise the per-plan overhead at high request rates.
+:class:`StreamingNystroemClassifier` classifies one batch at a time
+(:meth:`~StreamingNystroemClassifier.classify`); coalescing arriving
+requests into batches is the job of :class:`repro.serving.AsyncServingQueue`.
 
-Cold traffic -- rows the engine's state store has not seen -- used to pay one
-full circuit simulation *per point* inside the flush.  The engine now encodes
-a flushed batch's cache misses through one stacked gate sweep
-(:meth:`repro.backends.Backend.simulate_batch`), so the per-point hot path of
-a cold flush is gone while every prediction stays byte-identical to
-point-at-a-time classification.  With ``EngineConfig.fused_pipeline`` (the
-default) a cold flush is moreover **one fused pipeline**
-(:class:`~repro.engine.plan.FusedEncodeOverlapPlan`): the freshly encoded
-states flow straight from the stacked sweep into the landmark block overlap,
-and the state store is written only after the kernel rows exist -- same
-writes, same hit/miss accounting, off the critical path.
+A batch's cold rows -- rows the engine's state store has not seen -- are
+encoded through one stacked gate sweep
+(:meth:`repro.backends.Backend.simulate_batch`) whose fresh states flow
+straight into the landmark block overlap; the state store is written only
+after the kernel rows exist.  Every prediction stays byte-identical to
+point-at-a-time classification.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Protocol, Sequence
+from typing import Deque, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -85,9 +79,6 @@ class StreamingNystroemClassifier:
         Optional :class:`~repro.svm.FeatureScaler` applied to raw rows
         before encoding (pass the pipeline's fitted scaler to serve raw
         traffic).
-    buffer_size:
-        Micro-batch size for :meth:`submit`; once this many rows are pending
-        they are flushed through one kernel-row plan.
     """
 
     def __init__(
@@ -95,17 +86,12 @@ class StreamingNystroemClassifier:
         feature_map: NystroemFeatureMap,
         model: _LinearModel,
         scaler: FeatureScaler | None = None,
-        buffer_size: int = 32,
     ) -> None:
         if not feature_map.is_fitted:
             raise KernelError("feature map must be fitted before serving")
-        if buffer_size < 1:
-            raise KernelError(f"buffer_size must be >= 1, got {buffer_size}")
         self.feature_map = feature_map
         self.model = model
         self.scaler = scaler
-        self.buffer_size = buffer_size
-        self._buffer: List[np.ndarray] = []
         self.num_served = 0
         #: Optional calibrated conformal classifier (see
         #: :meth:`attach_conformal`) plus its rolling-coverage window.
@@ -114,11 +100,6 @@ class StreamingNystroemClassifier:
         self.feedback_count = 0
 
     # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Number of buffered, not-yet-classified rows."""
-        return len(self._buffer)
-
     def scale(self, X_raw: np.ndarray) -> np.ndarray:
         """Raw rows -> the scaled representation the feature map encodes."""
         X_raw = np.asarray(X_raw, dtype=float)
@@ -187,40 +168,6 @@ class StreamingNystroemClassifier:
                 engine_result.inner_product_time_s if engine_result else 0.0
             ),
         )
-
-    # ------------------------------------------------------------------
-    def submit(self, row: np.ndarray) -> Optional[StreamingBatchResult]:
-        """Buffer one raw feature row; flush when the micro-batch fills.
-
-        The row's width is validated here (against the feature map's
-        ansatz), so malformed traffic is rejected at ingestion and never
-        poisons a buffered batch.  Returns the batch result when this row
-        triggered a flush, else ``None``.
-        """
-        row = np.asarray(row, dtype=float).ravel()
-        expected = self.feature_map.engine.ansatz.num_features
-        if row.size != expected:
-            raise SVMError(
-                f"row has {row.size} features but the service expects {expected}"
-            )
-        self._buffer.append(row)
-        if len(self._buffer) >= self.buffer_size:
-            return self.flush()
-        return None
-
-    def flush(self) -> Optional[StreamingBatchResult]:
-        """Classify every buffered row (no-op returning ``None`` when empty).
-
-        The buffer is cleared only after classification succeeds, so a
-        failure (e.g. an engine error) leaves the pending rows intact for
-        retry or inspection.
-        """
-        if not self._buffer:
-            return None
-        batch = np.vstack(self._buffer)
-        result = self.classify(batch)
-        self._buffer.clear()
-        return result
 
     # ------------------------------------------------------------------
     def attach_conformal(
@@ -293,7 +240,6 @@ class StreamingNystroemClassifier:
     def from_serving_payload(
         cls,
         payload: dict,
-        buffer_size: int = 32,
         store=None,
     ) -> "StreamingNystroemClassifier":
         """Rebuild a full serving replica from a :meth:`serving_payload` dict.
@@ -348,7 +294,6 @@ class StreamingNystroemClassifier:
             feature_map,
             pickle.loads(payload["model_blob"]),
             scaler=pickle.loads(payload["scaler_blob"]),
-            buffer_size=buffer_size,
         )
 
     def serving_payload(self) -> dict:
@@ -358,8 +303,8 @@ class StreamingNystroemClassifier:
         landmark rows -- are serialised exactly once here; the scaler and the
         linear model ride along as pickled blobs, and the engine is described
         by its configuration (workers rebuild it by backend registry name).
-        Feed the result to ``repro.serving.SharedLandmarkStore.attach`` in
-        each worker.
+        :meth:`from_serving_payload` turns it back into a replica in any
+        process.
         """
         import pickle
 

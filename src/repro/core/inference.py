@@ -12,9 +12,9 @@ milliseconds per training-state inner product at full scale).
 
 The heavy lifting dispatches through a cache-enabled
 :class:`repro.engine.KernelEngine`: training encodes populate the
-content-addressed :class:`~repro.engine.StateStore`, and inference builds a
-:class:`~repro.engine.KernelRowPlan` against the stored states, so a point
-that was ever encoded before (training or a repeated query) is served from
+content-addressed :class:`~repro.engine.StateStore`, and inference runs a
+:meth:`~repro.engine.KernelEngine.kernel_rows` sweep against the stored
+states, so a point that was ever encoded before (training or a repeated query) is served from
 the cache with zero redundant simulations.
 """
 
@@ -223,9 +223,7 @@ class QuantumKernelInferenceEngine:
         return self.kernel_rows(X_new).predictions
 
     # ------------------------------------------------------------------
-    def streaming_classifier(
-        self, buffer_size: int = 32
-    ) -> StreamingNystroemClassifier:
+    def streaming_classifier(self) -> StreamingNystroemClassifier:
         """The fitted Nystrom model as a raw-traffic streaming classifier.
 
         Shares this engine's feature map, linear model and scaler (and hence
@@ -244,7 +242,6 @@ class QuantumKernelInferenceEngine:
             self._feature_map,
             self._linear_model,
             scaler=self._scaler,
-            buffer_size=buffer_size,
         )
 
     def serving_queue(self, **queue_kwargs):
@@ -257,10 +254,7 @@ class QuantumKernelInferenceEngine:
         """
         from ..serving import AsyncServingQueue
 
-        buffer_size = int(queue_kwargs.get("max_batch", 32))
-        return AsyncServingQueue(
-            self.streaming_classifier(buffer_size=buffer_size), **queue_kwargs
-        )
+        return AsyncServingQueue(self.streaming_classifier(), **queue_kwargs)
 
     def serving_payload(self) -> dict:
         """The fitted model as one picklable payload (see streaming docs).

@@ -3,9 +3,8 @@
 One compute core for every pairwise-overlap workload in the library:
 
 * :mod:`~repro.engine.plan` -- declarative pairwise work plans
-  (:class:`SymmetricGramPlan`, :class:`CrossGramPlan`,
-  :class:`KernelRowPlan`) that enumerate overlap jobs once, exploiting
-  symmetry by construction;
+  (:class:`SymmetricGramPlan`, :class:`CrossGramPlan`) that enumerate
+  overlap jobs once, exploiting symmetry by construction;
 * :mod:`~repro.engine.cache` -- a content-addressed :class:`StateStore` for
   encoded MPS keyed by (feature-row bytes, ansatz fingerprint, truncation
   policy), with LRU eviction under a byte budget and hit/miss statistics;
@@ -40,14 +39,7 @@ from .cache import (
     simulation_fingerprint,
     state_key,
 )
-from .plan import (
-    CrossGramPlan,
-    FusedEncodeOverlapPlan,
-    KernelRowPlan,
-    PairJob,
-    PairwisePlan,
-    SymmetricGramPlan,
-)
+from .plan import CrossGramPlan, PairJob, PairwisePlan, SymmetricGramPlan
 from .engine import EngineConfig, EngineResult, KernelEngine
 
 __all__ = [
@@ -55,8 +47,6 @@ __all__ = [
     "PairwisePlan",
     "SymmetricGramPlan",
     "CrossGramPlan",
-    "KernelRowPlan",
-    "FusedEncodeOverlapPlan",
     "CacheStats",
     "StateStore",
     "ansatz_fingerprint",

@@ -13,11 +13,15 @@ their optimisations, so consumers describe *what* to compute (a
   cache misses run as stacked gate sweeps
   (:meth:`repro.backends.Backend.simulate_batch`), bit-identical to
   per-point simulation;
-* overlap jobs are chunked and dispatched through the backend's batched
-  einsum path (:meth:`repro.backends.Backend.inner_product_batch`);
+* symmetric Gram jobs are chunked and dispatched through the backend's
+  batched einsum path (:meth:`repro.backends.Backend.inner_product_batch`);
+* rectangular work -- test-versus-train cross matrices and inference kernel
+  rows -- runs one path: a cache-aware encode whose store writes wait until
+  after one stacked block sweep
+  (:meth:`repro.backends.Backend.inner_product_block`);
 * the executor -- ``"sequential"``, ``"tiled"`` (cache-friendly tile-ordered
-  job stream) or ``"multiprocess"`` (process-pool fan-out) -- is selected by
-  :class:`EngineConfig` without touching call sites.
+  Gram job stream) or ``"multiprocess"`` (process-pool fan-out) -- is
+  selected by :class:`EngineConfig` without touching call sites.
 
 :class:`repro.kernels.QuantumKernel`,
 :class:`repro.kernels.ProjectedQuantumKernel`,
@@ -30,7 +34,7 @@ this class, which makes it the single choke point for future scaling work
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,14 +46,7 @@ from ..mps import MPS
 from ..telemetry.tracing import TRACER
 from .batching import StackedStateBlock
 from .cache import StateStore, ansatz_fingerprint, simulation_fingerprint, state_key
-from .plan import (
-    CrossGramPlan,
-    FusedEncodeOverlapPlan,
-    KernelRowPlan,
-    PairJob,
-    PairwisePlan,
-    SymmetricGramPlan,
-)
+from .plan import PairJob, PairwisePlan, SymmetricGramPlan
 
 __all__ = ["EngineConfig", "EngineResult", "KernelEngine"]
 
@@ -64,9 +61,11 @@ class EngineConfig:
     ----------
     executor:
         ``"sequential"`` evaluates the plan's canonical job order in one
-        process; ``"tiled"`` evaluates the same jobs tile-by-tile (the
-        locality order the distributed strategies use); ``"multiprocess"``
-        fans symmetric Gram plans out over a local process pool.
+        process; ``"tiled"`` evaluates a symmetric Gram plan's jobs
+        tile-by-tile (the locality order the distributed strategies use);
+        ``"multiprocess"`` fans Gram and cross plans out over a local
+        process pool.  In process, rectangular work (:meth:`KernelEngine.cross`
+        and :meth:`KernelEngine.kernel_rows`) always runs one block sweep.
     use_cache:
         Enable the content-addressed :class:`StateStore` for encodes.
     cache_bytes:
@@ -85,19 +84,6 @@ class EngineConfig:
         debugging.
     encode_batch_size:
         Maximum circuits per stacked encoding sweep.
-    fused_pipeline:
-        Execute block-sweep kernel-row plans as one fused encode-to-overlap
-        pipeline (:class:`~repro.engine.plan.FusedEncodeOverlapPlan`): cold
-        states flow straight from the stacked encode into the block overlap
-        sweep, and the state store is written only after the kernel block
-        exists.  Values, counters and cache statistics are identical to the
-        unfused path; disabling only exists for benchmarks and debugging.
-    cross_block_sweep:
-        Evaluate sequential-executor cross plans (:meth:`KernelEngine.cross`)
-        through one pre-stacked block sweep
-        (:meth:`repro.backends.Backend.inner_product_block`) instead of
-        chunked pair batches -- bit-identical values, one batched einsum per
-        site.  The tiled and multiprocess executors keep their job streams.
     """
 
     executor: str = "sequential"
@@ -108,8 +94,6 @@ class EngineConfig:
     max_workers: Optional[int] = None
     batch_encoding: bool = True
     encode_batch_size: int = 32
-    fused_pipeline: bool = True
-    cross_block_sweep: bool = True
 
     def __post_init__(self) -> None:
         if self.executor not in _EXECUTORS:
@@ -194,10 +178,11 @@ class KernelEngine:
     cross_backend:
         Optional second backend (typically a
         :class:`~repro.backends.SimulatedGpuBackend`) offered the stacked
-        cross sweep: before each block sweep of :meth:`cross`, the engine
-        compares ``cost_model.batched_inner_product_time`` across the two
-        devices and dispatches to whichever model predicts the cheaper block
-        -- the Fig. 5 crossover decision, modelled rather than hardcoded.
+        sweep: before each block sweep of :meth:`cross` or
+        :meth:`kernel_rows`, the engine compares
+        ``cost_model.batched_inner_product_time`` across the two devices and
+        dispatches to whichever model predicts the cheaper block -- the
+        Fig. 5 crossover decision, modelled rather than hardcoded.
         Both backends run identical NumPy numerics, so dispatch never
         changes a kernel value; its accounting is merged into the result.
     """
@@ -338,65 +323,69 @@ class KernelEngine:
         the returned states do not depend on cache occupancy, chunking or
         batch composition.
         """
-        X = self.validate_features(X)
-        if X.shape[0] == 1 or not self.config.batch_encoding:
-            return [self.encode_row(row) for row in X]
-        if self.store is None:
-            states: List[MPS | None] = [None] * X.shape[0]
-            self._encode_batched(X, range(X.shape[0]), states)
-            return [s for s in states if s is not None]
-        return self._encode_rows_cached(X)
+        states, write_back = self._encode_deferred(self.validate_features(X))
+        write_back()
+        return states
 
-    def _encode_rows_cached(self, X: np.ndarray) -> List[MPS]:
-        """Store-aware batched encode preserving ``encode_row`` semantics.
+    def _encode_deferred(
+        self, X: np.ndarray
+    ) -> Tuple[List[MPS], Callable[[], int]]:
+        """Encode validated rows, deferring every store write to the caller.
 
-        First pass: look every row up in the store (counting hits/misses
-        exactly as row-by-row encoding would).  Unseen rows are batch-encoded
-        and inserted; rows that duplicate an earlier miss within the same
-        call are then re-resolved from the store -- a hit, matching what the
-        sequential path records -- with a per-row fallback if eviction raced
-        the insert.
+        Every row is looked up in the store first, counting hits and misses
+        exactly as row-by-row :meth:`encode_row` would; the misses are then
+        encoded (stacked when ``batch_encoding`` allows) and rows that
+        duplicate an earlier miss in the same call reuse its fresh state.
+        Nothing is written until the returned ``write_back`` runs: it puts
+        the fresh states and gives each duplicate its one store lookup -- the
+        hit the row-by-row path records -- and returns the number of writes.
         """
-        assert self.store is not None
         n = X.shape[0]
         states: List[MPS | None] = [None] * n
+        keys: List[str] = []
         pending: List[int] = []
-        pending_keys = set()
         deferred: List[int] = []
-        keys = [
-            state_key(row, self._ansatz_fp, self._simulation_fp) for row in X
-        ]
-        for i in range(n):
-            if keys[i] in pending_keys:
-                # A duplicate of an earlier miss in this same call: resolve it
-                # after the batch encode, so its single store lookup is the
-                # hit the sequential path would record.
-                deferred.append(i)
-                continue
-            cached = self.store.get(keys[i])
-            if cached is not None:
-                states[i] = cached
-            else:
-                pending.append(i)
-                pending_keys.add(keys[i])
-        self._encode_batched(X, pending, states)
-        for i in pending:
-            state = states[i]
-            if state is not None:
-                self.store.put(keys[i], state)
+        first_miss: Dict[str, int] = {}
+        if self.store is None:
+            pending = list(range(n))
+        else:
+            keys = [state_key(row, self._ansatz_fp, self._simulation_fp) for row in X]
+            for i, key in enumerate(keys):
+                if key in first_miss:
+                    deferred.append(i)
+                    continue
+                cached = self.store.get(key)
+                if cached is not None:
+                    states[i] = cached
+                else:
+                    pending.append(i)
+                    first_miss[key] = i
+        if self.config.batch_encoding and len(pending) > 1:
+            self._encode_batched(X, pending, states)
+        else:
+            for i in pending:
+                states[i] = self.simulate_row(X[i]).state
         for i in deferred:
-            cached = self.store.get(keys[i])
-            states[i] = cached if cached is not None else self.encode_row(X[i])
-        return [s for s in states if s is not None]
+            states[i] = states[first_miss[keys[i]]]
+
+        def write_back() -> int:
+            if self.store is None:
+                return 0
+            for i in pending:
+                self.store.put(keys[i], states[i])
+            for i in deferred:
+                self.store.get(keys[i])
+            return len(pending)
+
+        return [s for s in states if s is not None], write_back
 
     def _encode_batched(
         self,
         X: np.ndarray,
-        indices: Iterable[int],
+        indices: List[int],
         states: List["MPS | None"],
     ) -> None:
         """Encode the selected rows through stacked sweeps, filling ``states``."""
-        indices = list(indices)
         chunk_size = self.encode_batch_size
         for lo in range(0, len(indices), chunk_size):
             chunk = indices[lo : lo + chunk_size]
@@ -417,11 +406,8 @@ class KernelEngine:
     # ------------------------------------------------------------------
     def _job_stream(self, plan: PairwisePlan) -> Iterable[PairJob]:
         """The plan's jobs in the executor's preferred order."""
-        if self.config.executor == "tiled":
-            if isinstance(plan, SymmetricGramPlan):
-                return self._tiled_jobs(plan)
-            if isinstance(plan, CrossGramPlan):
-                return self._tiled_cross_jobs(plan)
+        if self.config.executor == "tiled" and isinstance(plan, SymmetricGramPlan):
+            return self._tiled_jobs(plan)
         return plan.jobs()
 
     def _tiled_jobs(self, plan: SymmetricGramPlan) -> Iterable[PairJob]:
@@ -436,26 +422,6 @@ class KernelEngine:
         for tile in square_tiling(n, blocks, symmetric=True):
             for (i, j) in tile.entry_pairs():
                 yield PairJob(left=i, right=j, row=i, col=j, mirror=True)
-
-    def _tiled_cross_jobs(self, plan: CrossGramPlan) -> Iterable[PairJob]:
-        """Cross-plan jobs reordered over rectangular tiles.
-
-        Covers test-versus-train matrices and the Nystrom ``K_nm`` landmark
-        block; the tile grid reuses :func:`repro.parallel.tiling.rect_tiling`
-        so the locality order matches what the distributed strategies ship
-        between processes.
-        """
-        from ..parallel.tiling import rect_tiling
-
-        n_rows, n_cols = plan.shape
-        blocks = self.config.num_blocks
-        if blocks is None:
-            blocks = max(1, int(np.ceil(np.sqrt(max(n_rows, n_cols)))))
-        row_blocks = min(blocks, n_rows)
-        col_blocks = min(blocks, n_cols)
-        for tile in rect_tiling(n_rows, n_cols, row_blocks, col_blocks):
-            for (i, j) in tile.entry_pairs():
-                yield PairJob(left=i, right=j, row=i, col=j, mirror=False)
 
     def execute_plan(
         self,
@@ -528,22 +494,17 @@ class KernelEngine:
     def cross(self, X_rows: np.ndarray, train_states: Sequence[MPS]) -> EngineResult:
         """Rectangular kernel between new rows and stored training states.
 
-        With the ``"multiprocess"`` executor the rectangular tiles fan out
-        over a local process pool: column states are serialised once and
-        shipped, row circuits are encoded inside the workers, and the result
-        is bit-identical to the sequential cross plan.  Covers the Nystrom
-        ``K_nm`` fit block and bulk test-versus-train scoring; the serving
-        hot path (:meth:`kernel_rows`) stays in-process by design.
-
-        With the default sequential executor and ``config.cross_block_sweep``
-        the whole block runs as one stacked sweep
-        (:meth:`~repro.backends.Backend.inner_product_block`) -- bit-identical
-        values through one batched einsum per site -- dispatched to
-        ``cross_backend`` when its cost model predicts the cheaper block.
+        Covers the Nystrom ``K_nm`` fit block and bulk test-versus-train
+        scoring.  In process (the ``"sequential"`` and ``"tiled"``
+        executors) it runs the :meth:`kernel_rows` path, stacking the
+        training states into a block first.  With the ``"multiprocess"``
+        executor the rectangular tiles fan out over a local process pool
+        instead: column states are serialised once and shipped, row circuits
+        are encoded inside the workers, and the result is bit-identical.
         """
         if self.config.executor == "multiprocess":
             return self._cross_multiprocess(X_rows, train_states)
-        return self._rectangular(X_rows, train_states, serving=False)
+        return self._rectangular(X_rows, train_states)
 
     def kernel_rows(
         self,
@@ -551,21 +512,24 @@ class KernelEngine:
         train_states: Sequence[MPS],
         block: StackedStateBlock | None = None,
     ) -> EngineResult:
-        """Inference-time kernel rows against stored training states.
+        """Kernel rows of new points against stored training states.
 
-        Identical accounting to :meth:`cross` but executes a
-        :class:`KernelRowPlan`, marking the serving hot path.  Passing the
+        The one in-process rectangular path.  Store hits are resolved first
+        and the misses encoded in stacked sweeps; the fresh states flow
+        straight into one block overlap sweep
+        (:meth:`~repro.backends.Backend.inner_product_block`), dispatched to
+        ``cross_backend`` when its cost model predicts the cheaper block.
+        The state store is written only after the kernel block exists, so no
+        store write sits between encode and overlap.  ``block`` is the
         ``train_states``' pre-stacked :class:`StackedStateBlock` (built once
-        at fit time) routes the overlaps through the backend's block sweep:
-        no per-pair Python stacking, bit-identical values.
+        at fit time on the serving path); it is built here when omitted.
         """
-        return self._rectangular(X_rows, train_states, serving=True, block=block)
+        return self._rectangular(X_rows, train_states, block)
 
     def _rectangular(
         self,
         X_rows: np.ndarray,
         train_states: Sequence[MPS],
-        serving: bool,
         block: StackedStateBlock | None = None,
     ) -> EngineResult:
         if not train_states:
@@ -580,123 +544,23 @@ class KernelEngine:
         if self.cross_backend is not None:
             self.cross_backend.reset_counters()
         hits0, misses0 = self._cache_counts()
-        if serving and block is not None and self.config.fused_pipeline:
-            return self._execute_fused(X_rows, train_states, block, hits0, misses0)
         with TRACER.span("engine.encode") as sp:
-            row_states = self.encode_rows(X_rows)
+            row_states, write_back = self._encode_deferred(X_rows)
             if sp is not None:
                 sp.set_attribute("rows", len(row_states))
-        if serving and block is not None:
-            with TRACER.span("engine.overlap") as sp:
-                result = self.backend.inner_product_block(row_states, block)
-                if sp is not None:
-                    sp.set_attribute("pairs", result.num_pairs)
-            K = np.abs(result.values) ** 2
-            return self._result_from_counters(K, row_states, hits0, misses0)
-        if not serving and self.config.cross_block_sweep:
-            with TRACER.span("engine.overlap") as sp:
-                sweep_block = StackedStateBlock(list(train_states))
-                sweep_backend = self._select_cross_backend(row_states, sweep_block)
-                result = sweep_backend.inner_product_block(row_states, sweep_block)
-                if sp is not None:
-                    sp.set_attribute("pairs", result.num_pairs)
-            K = np.abs(result.values) ** 2
-            return self._result_from_counters(K, row_states, hits0, misses0)
-        if serving:
-            plan: CrossGramPlan = KernelRowPlan(
-                len(train_states), num_rows=len(row_states)
-            )
-        else:
-            plan = CrossGramPlan(len(row_states), len(train_states))
         with TRACER.span("engine.overlap") as sp:
-            K = self.execute_plan(plan, row_states, train_states)
-            if sp is not None:
-                sp.set_attribute("pairs", int(K.size))
-        return self._result_from_counters(K, row_states, hits0, misses0)
-
-    def _execute_fused(
-        self,
-        X_rows: np.ndarray,
-        train_states: Sequence[MPS],
-        block: StackedStateBlock,
-        hits0: int,
-        misses0: int,
-    ) -> EngineResult:
-        """Run a kernel-row block as one fused encode-to-overlap pipeline.
-
-        Executes a :class:`~repro.engine.plan.FusedEncodeOverlapPlan`: store
-        hits are resolved up front, the remaining cold rows are encoded in
-        stacked sweeps and their states flow **directly** into the block
-        overlap sweep; only after the kernel block exists are the fresh
-        states written back to the store (and intra-batch duplicates
-        re-resolved from it).  Every store operation of the unfused path
-        still happens -- same hit/miss deltas, same occupancy -- it is just
-        scheduled off the critical path, which is what the fused benchmark
-        scenario measures.
-        """
-        n = X_rows.shape[0]
-        plan = FusedEncodeOverlapPlan(len(train_states), num_rows=n)
-        states: List[MPS | None] = [None] * n
-        pending: List[int] = []
-        deferred: List[int] = []
-        keys: List[str] = []
-        with TRACER.span("engine.encode") as sp:
-            if self.store is not None:
-                pending_keys = set()
-                keys = [
-                    state_key(row, self._ansatz_fp, self._simulation_fp)
-                    for row in X_rows
-                ]
-                for i in range(n):
-                    if keys[i] in pending_keys:
-                        deferred.append(i)
-                        continue
-                    cached = self.store.get(keys[i])
-                    if cached is not None:
-                        states[i] = cached
-                    else:
-                        pending.append(i)
-                        pending_keys.add(keys[i])
-            else:
-                pending = list(range(n))
-            # Critical path: stacked encode of the misses feeding straight
-            # into the block sweep.  No store traffic between the two.
-            if pending:
-                if self.config.batch_encoding and len(pending) > 1:
-                    self._encode_batched(X_rows, pending, states)
-                else:
-                    for i in pending:
-                        states[i] = self.simulate_row(X_rows[i]).state
-            if sp is not None:
-                sp.set_attribute("rows", n)
-                sp.set_attribute("cold", len(pending))
-        first_slot = {}
-        for i in pending:
-            first_slot.setdefault(keys[i] if keys else i, i)
-        for i in deferred:
-            states[i] = states[first_slot[keys[i]]]
-        row_states = [s for s in states if s is not None]
-        with TRACER.span("engine.overlap") as sp:
-            result = self.backend.inner_product_block(row_states, block)
+            if block is None:
+                block = StackedStateBlock(list(train_states))
+            sweep_backend = self._select_cross_backend(row_states, block)
+            result = sweep_backend.inner_product_block(row_states, block)
             if sp is not None:
                 sp.set_attribute("pairs", result.num_pairs)
-        K = plan.initial_matrix()
-        K[...] = np.abs(result.values) ** 2
-        # Off the critical path: the same store writes and duplicate
-        # re-resolutions the unfused path performs, in the same
-        # (put-misses, then re-get duplicates) order.
+        K = np.abs(result.values) ** 2
         if self.store is not None:
             with TRACER.span("engine.store_write") as sp:
-                for i in pending:
-                    state = states[i]
-                    if state is not None:
-                        self.store.put(keys[i], state)
-                for i in deferred:
-                    cached = self.store.get(keys[i])
-                    if cached is not None:
-                        states[i] = cached
+                writes = write_back()
                 if sp is not None:
-                    sp.set_attribute("writes", len(pending))
+                    sp.set_attribute("writes", writes)
         return self._result_from_counters(K, row_states, hits0, misses0)
 
     def _select_cross_backend(

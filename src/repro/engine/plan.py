@@ -8,19 +8,14 @@ double loop; a plan enumerates the jobs **once**, in one place, so that every
 executor -- sequential, tiled, multi-process -- iterates the exact same job
 stream and symmetry is exploited by construction rather than by convention.
 
-Three concrete plans cover all call sites:
+Two concrete plans cover all call sites:
 
 * :class:`SymmetricGramPlan` -- training Gram matrix; only the strict upper
   triangle is evaluated (``n (n - 1) / 2`` jobs), the diagonal is 1 by
   normalisation and every entry is mirrored.
-* :class:`CrossGramPlan` -- rectangular test-versus-train kernel.
-* :class:`KernelRowPlan` -- inference-time kernel rows of a (usually small)
-  batch of new points against the stored training states; structurally a
-  cross plan, kept as its own type so serving paths are greppable.
-* :class:`FusedEncodeOverlapPlan` -- a kernel-row plan whose encode misses
-  and overlap block are executed as **one** stacked pipeline (cold states
-  flow straight from the batched encode into the block sweep; the state
-  store is written off the critical path).
+* :class:`CrossGramPlan` -- rectangular test-versus-train kernel, evaluated
+  pair by pair in multiprocess cross tiles and as the per-pair reference the
+  engine's in-process block sweep is tested against.
 """
 
 from __future__ import annotations
@@ -38,8 +33,6 @@ __all__ = [
     "PairwisePlan",
     "SymmetricGramPlan",
     "CrossGramPlan",
-    "KernelRowPlan",
-    "FusedEncodeOverlapPlan",
 ]
 
 
@@ -155,45 +148,3 @@ class CrossGramPlan(PairwisePlan):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(shape={self.shape}, pairs={self.num_pairs})"
 
-
-class KernelRowPlan(CrossGramPlan):
-    """Plan for inference-time kernel rows against stored training states.
-
-    Identical job structure to :class:`CrossGramPlan`; the separate type marks
-    the serving hot path (one or a few new points against a large training
-    set) so executors may special-case it later without a schema change.
-    """
-
-    def __init__(self, num_train: int, num_rows: int = 1) -> None:
-        super().__init__(num_rows, num_train)
-        self.num_train = num_train
-
-
-class FusedEncodeOverlapPlan(KernelRowPlan):
-    """Kernel-row plan executed as one fused encode-to-overlap pipeline.
-
-    Job structure (and therefore every kernel value) is identical to
-    :class:`KernelRowPlan`; what the type changes is *scheduling*.  When the
-    engine executes this plan (:meth:`repro.engine.KernelEngine.kernel_rows`
-    with a pre-stacked landmark block and ``EngineConfig.fused_pipeline``
-    on), a cold flush runs as a single stacked pipeline:
-
-    1. every row is looked up in the state store (hits skip simulation);
-    2. the misses are encoded through stacked gate sweeps
-       (:meth:`~repro.backends.Backend.simulate_batch`) and their fresh
-       states flow **directly** into the block overlap sweep
-       (:meth:`~repro.backends.Backend.inner_product_block`) -- no store
-       round-trip sits between the two;
-    3. only after the kernel block exists are the fresh states written back
-       to the store (same writes, same hit/miss accounting as the unfused
-       path -- just off the critical path).
-
-    A plan stays pure bookkeeping: this class carries no state and performs
-    no I/O; the engine keys the fused execution path off its type.
-    """
-
-    def jobs(self) -> Iterator[PairJob]:
-        # Same canonical job stream as the unfused row plan: the fused
-        # pipeline is a scheduling change, not a coverage change, and any
-        # executor that cannot fuse may fall back to these jobs verbatim.
-        return super().jobs()

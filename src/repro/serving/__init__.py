@@ -8,13 +8,15 @@ restarts and run more than one replica.  This package closes those gaps:
   batch-coalescing request queue in front of
   :class:`~repro.approx.StreamingNystroemClassifier`: requests accumulate up
   to ``max_batch`` / ``max_wait_ms``, flush as one
-  :class:`~repro.engine.plan.KernelRowPlan`, and resolve futures carrying
-  per-request latency; queue depth / throughput / p50 / p99 land in
-  :class:`repro.profiling.ServingMetrics`.
-* :mod:`~repro.serving.store` -- :class:`SharedLandmarkStore`, the served
-  model serialised once (landmark MPS out of the engine's state store,
-  normalisation, linear model, scaler) and attached per worker process, so
-  flushes fan out over a pool without ever re-simulating a landmark.
+  :meth:`~repro.engine.KernelEngine.kernel_rows` block sweep, and resolve
+  futures carrying per-request latency; queue depth / throughput / p50 /
+  p99 land in :class:`repro.profiling.ServingMetrics`.
+* :mod:`~repro.serving.store` -- the worker-pool plumbing: the served model
+  is serialised once (landmark MPS out of the engine's state store,
+  normalisation, linear model, scaler) and attached per worker process as a
+  :meth:`~repro.approx.StreamingNystroemClassifier.from_serving_payload`
+  replica, so flushes fan out over a pool without ever re-simulating a
+  landmark.
 * :mod:`~repro.serving.persistence` -- :class:`PersistentStateStore`, the
   durable tier: content-addressed on-disk snapshots of the state store
   (atomic temp-write-then-rename, versioned checksummed manifest) plus an
@@ -52,11 +54,7 @@ from .router import (
     RoutingPolicy,
     make_routing_policy,
 )
-from .store import (
-    SharedLandmarkStore,
-    attach_shared_store,
-    shared_store_kernel_rows,
-)
+from .store import attach_shared_store, shared_store_kernel_rows
 
 __all__ = [
     "AsyncServingQueue",
@@ -65,7 +63,6 @@ __all__ = [
     "ServingHandle",
     "serve",
     "resolve_serving_payload",
-    "SharedLandmarkStore",
     "attach_shared_store",
     "shared_store_kernel_rows",
     "PersistentStateStore",

@@ -1,9 +1,9 @@
 """Async batch-coalescing request queue over a streaming Nystrom classifier.
 
 A traffic-facing service receives requests one at a time, but the engine is
-at its best when it evaluates one :class:`~repro.engine.plan.KernelRowPlan`
-per *batch*: the per-plan overhead amortises and -- with worker processes --
-the row encodes fan out.  :class:`AsyncServingQueue` sits between the two:
+at its best when it evaluates one kernel-row block sweep per *batch*: the
+per-call overhead amortises and -- with worker processes -- the row encodes
+fan out.  :class:`AsyncServingQueue` sits between the two:
 
 * :meth:`submit` accepts one raw feature row and immediately returns a
   :class:`concurrent.futures.Future`;
@@ -399,7 +399,7 @@ class AsyncServingQueue:
         """
         store = self._slot.classifier.feature_map.engine.store
         classifier = StreamingNystroemClassifier.from_serving_payload(
-            payload, buffer_size=self.max_batch, store=store
+            payload, store=store
         )
         return self.swap_model(classifier, version=version, _payload=payload)
 

@@ -211,13 +211,12 @@ class ReplicaRouter:
         self.warm_up_reports: List[WarmUpReport] = []
 
         replica_metrics: List[ServingMetrics] = []
-        buffer_size = int(queue_kwargs.get("max_batch", 32))
         for _ in range(self.num_replicas):
             store: Optional[PersistentStateStore] = None
             if persistence_root is not None:
                 store = PersistentStateStore(persistence_root)
             classifier = StreamingNystroemClassifier.from_serving_payload(
-                payload, buffer_size=buffer_size, store=store
+                payload, store=store
             )
             if store is not None:
                 # The engine exists only now; stamp its compute-policy
@@ -250,9 +249,7 @@ class ReplicaRouter:
         """Build a router from a declarative :class:`~repro.config.ServingConfig`.
 
         The performance knobs come from the config's nested
-        :class:`~repro.config.TuningConfig` (``config.tuning``); building a
-        config from the deprecated loose kwargs folds them into the same
-        bundle, so both spellings land here identically.
+        :class:`~repro.config.TuningConfig` (``config.tuning``).
         """
         tuning = config.tuning
         kwargs = dict(

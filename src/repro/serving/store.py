@@ -1,171 +1,51 @@
-"""Shared landmark-state store: serialise a served model once, attach anywhere.
+"""Process-pool plumbing: attach a served model once per worker.
 
 A Nystrom-served model is tiny: ``m`` landmark MPS (the engine's cached
 state-store entries for the landmark rows), the ``m x r`` normalisation, a
-linear model and the feature scaler.  :class:`SharedLandmarkStore` packages
-those into one picklable payload so a fleet of worker processes can be
-initialised with a single serialisation pass in the parent -- the workers
-never re-simulate a landmark circuit.
+linear model and the feature scaler.
+:meth:`repro.approx.StreamingNystroemClassifier.serving_payload` packages
+those into one picklable payload, so a pool of workers is initialised with a
+single serialisation pass in the parent and never re-simulates a landmark
+circuit.
 
-Two ways to use it:
-
-* **Process-pool initializer** (what :class:`repro.serving.AsyncServingQueue`
-  does with ``workers >= 2``): pass :func:`attach_shared_store` as the pool's
-  ``initializer`` with the payload, then submit
-  :func:`shared_store_kernel_rows` jobs; each worker encodes only the query
-  rows of its block and computes overlaps against the attached landmarks.
-* **Standalone replica**: :meth:`SharedLandmarkStore.attach` returns a fully
-  functional scorer in any process (e.g. a separate serving container),
-  including the scaling and decision steps.
-
-Overlaps run through the engine's batched sweep and the projections are
-row-wise, so an attached replica produces bit-identical predictions to the
-classifier it was built from.
+:class:`repro.serving.AsyncServingQueue` with ``workers >= 2`` passes
+:func:`attach_shared_store` as the pool's ``initializer`` with the payload,
+then submits :func:`shared_store_kernel_rows` jobs: each worker encodes only
+the query rows of its block and sweeps them against the attached landmarks.
+The attached replica is a
+:meth:`~repro.approx.StreamingNystroemClassifier.from_serving_payload`
+rebuild, so its kernel rows are bit-identical to the classifier it came
+from.
 """
 
 from __future__ import annotations
 
-import pickle
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..engine import (
-    EngineConfig,
-    KernelEngine,
-    StackedStateBlock,
-    deserialize_states,
-    rowwise_matmul,
-)
+from ..approx import StreamingNystroemClassifier
 from ..exceptions import ServingError
-from ..mps import MPS
 
-__all__ = [
-    "SharedLandmarkStore",
-    "attach_shared_store",
-    "shared_store_kernel_rows",
-]
+__all__ = ["attach_shared_store", "shared_store_kernel_rows"]
 
-_REQUIRED_KEYS = (
-    "ansatz_kwargs",
-    "simulation_kwargs",
-    "backend_name",
-    "landmark_payload",
-    "normalization",
-    "model_blob",
-    "scaler_blob",
-)
-
-
-class SharedLandmarkStore:
-    """An attached, process-local replica of a Nystrom-served model.
-
-    Construct via :meth:`attach` (from a payload produced by
-    :meth:`repro.approx.StreamingNystroemClassifier.serving_payload`).  The
-    replica owns its own cache-enabled :class:`~repro.engine.KernelEngine`,
-    so repeated queries inside one worker are served from the state store.
-    """
-
-    def __init__(
-        self,
-        engine: KernelEngine,
-        landmark_states: List[MPS],
-        normalization: np.ndarray,
-        model,
-        scaler,
-    ) -> None:
-        if not landmark_states:
-            raise ServingError("a shared landmark store needs at least one landmark")
-        self.engine = engine
-        self.landmark_states = landmark_states
-        self.normalization = np.asarray(normalization, dtype=float)
-        if self.normalization.ndim != 2 or self.normalization.shape[0] != len(
-            landmark_states
-        ):
-            raise ServingError(
-                f"normalization shape {self.normalization.shape} does not match "
-                f"{len(landmark_states)} landmark states"
-            )
-        self.model = model
-        self.scaler = scaler
-        # Stacked once per attach; every scored block sweeps against it.
-        self.landmark_block = StackedStateBlock(landmark_states)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def attach(cls, payload: Dict, store=None) -> "SharedLandmarkStore":
-        """Rebuild a serving replica from a :meth:`serving_payload` dict.
-
-        ``store`` optionally injects an externally owned state store into
-        the replica engine (e.g. a persistent tier that warm-starts it).
-        """
-        missing = [k for k in _REQUIRED_KEYS if k not in payload]
-        if missing:
-            raise ServingError(f"serving payload is missing keys: {missing}")
-        engine = KernelEngine.from_worker_kwargs(
-            payload["ansatz_kwargs"],
-            payload["simulation_kwargs"],
-            payload["backend_name"],
-            config=EngineConfig(use_cache=True),
-            store=store,
-        )
-        return cls(
-            engine=engine,
-            landmark_states=deserialize_states(payload["landmark_payload"]),
-            normalization=payload["normalization"],
-            model=pickle.loads(payload["model_blob"]),
-            scaler=pickle.loads(payload["scaler_blob"]),
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def num_landmarks(self) -> int:
-        """Number of attached landmark states (``m``)."""
-        return len(self.landmark_states)
-
-    def kernel_rows(self, X_scaled: np.ndarray) -> np.ndarray:
-        """Overlap block of already-scaled rows against the landmarks.
-
-        The distributed flush path: workers call this on their row block and
-        the parent assembles and scores the full batch, so scaling (done once
-        in the parent) and scoring stay identical to the in-process path.
-        """
-        return self.engine.kernel_rows(
-            X_scaled, self.landmark_states, block=self.landmark_block
-        ).matrix
-
-    def decision_function(self, X_raw: np.ndarray) -> np.ndarray:
-        """End-to-end decision values for raw rows (standalone replica use)."""
-        X_raw = np.asarray(X_raw, dtype=float)
-        if X_raw.ndim == 1:
-            X_raw = X_raw[None, :]
-        Xs = self.scaler.transform(X_raw) if self.scaler is not None else X_raw
-        K = self.kernel_rows(Xs)
-        phi = rowwise_matmul(K, self.normalization)
-        return np.asarray(self.model.decision_function(phi)).ravel()
-
-    def predict(self, X_raw: np.ndarray) -> np.ndarray:
-        """Binary predictions in {0, 1} for raw rows."""
-        return (self.decision_function(X_raw) > 0).astype(int)
-
-
-# ----------------------------------------------------------------------
-# Process-pool plumbing: attach once per worker, then score row blocks.
-# ----------------------------------------------------------------------
-_ATTACHED: Optional[SharedLandmarkStore] = None
+_ATTACHED: Optional[StreamingNystroemClassifier] = None
 
 
 def attach_shared_store(payload: Dict) -> None:
-    """Pool initializer: attach the shared store in this worker process."""
+    """Pool initializer: attach the served model in this worker process."""
     global _ATTACHED
-    _ATTACHED = SharedLandmarkStore.attach(payload)
+    _ATTACHED = StreamingNystroemClassifier.from_serving_payload(payload)
 
 
 def shared_store_kernel_rows(X_scaled: np.ndarray) -> np.ndarray:
-    """Pool task: landmark overlap rows of one scaled query block."""
+    """Pool task: landmark kernel rows of one scaled query block."""
     if _ATTACHED is None:
         raise ServingError(
             "worker has no attached landmark store; "
             "was the pool created with attach_shared_store as initializer?"
         )
-    return _ATTACHED.kernel_rows(X_scaled)
+    fmap = _ATTACHED.feature_map
+    return fmap.engine.kernel_rows(
+        X_scaled, fmap.landmark_states_, block=fmap.landmark_block_
+    ).matrix

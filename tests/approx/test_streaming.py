@@ -13,6 +13,7 @@ from repro.config import AnsatzConfig
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.engine import EngineConfig, KernelEngine
 from repro.exceptions import KernelError
+from repro.serving import AsyncServingQueue
 from repro.svm import FeatureScaler, train_test_split
 
 
@@ -48,34 +49,19 @@ def test_classify_batch_costs_m_overlaps_per_point(served):
 
 
 def test_streamed_predictions_match_batch_path(served):
+    """Rows streamed one at a time through the coalescing queue score
+    byte-identically to one batch ``classify``."""
     fmap, model, scaler, X_test = served
     batch = StreamingNystroemClassifier(fmap, model, scaler=scaler).classify(X_test)
 
-    clf = StreamingNystroemClassifier(fmap, model, scaler=scaler, buffer_size=4)
-    collected = []
-    for row in X_test:
-        out = clf.submit(row)
-        if out is not None:
-            collected.append(out)
-    tail = clf.flush()
-    if tail is not None:
-        collected.append(tail)
-    preds = np.concatenate([o.predictions for o in collected])
-    decisions = np.concatenate([o.decision_values for o in collected])
+    clf = StreamingNystroemClassifier(fmap, model, scaler=scaler)
+    with AsyncServingQueue(clf, max_batch=4, max_wait_ms=2.0) as queue:
+        futures = [queue.submit(row) for row in X_test]
+        served_rows = [f.result(timeout=60) for f in futures]
+    preds = np.array([r.prediction for r in served_rows])
+    decisions = np.array([r.decision_value for r in served_rows])
     assert np.array_equal(preds, batch.predictions)
-    assert np.allclose(decisions, batch.decision_values, atol=1e-9)
-    assert clf.pending == 0
-
-
-def test_buffer_flushes_at_capacity(served):
-    fmap, model, scaler, X_test = served
-    clf = StreamingNystroemClassifier(fmap, model, scaler=scaler, buffer_size=3)
-    assert clf.submit(X_test[0]) is None
-    assert clf.submit(X_test[1]) is None
-    out = clf.submit(X_test[2])
-    assert out is not None and out.num_points == 3
-    assert clf.pending == 0
-    assert clf.flush() is None
+    assert np.array_equal(decisions, batch.decision_values)
 
 
 def test_repeat_queries_are_simulation_free(served):
@@ -103,22 +89,22 @@ def test_requires_fitted_feature_map(served):
     unfitted = NystroemFeatureMap(engine, NystroemConfig(num_landmarks=4))
     with pytest.raises(KernelError):
         StreamingNystroemClassifier(unfitted, model)
-    with pytest.raises(KernelError):
-        StreamingNystroemClassifier(fmap, model, buffer_size=0)
 
 
 def test_submit_rejects_malformed_rows_without_poisoning_buffer(served):
-    from repro.exceptions import SVMError
+    """A wrong-width row is rejected at queue admission; the valid row
+    already waiting in the batch is still served unchanged."""
+    from repro.exceptions import ServingError
 
     fmap, model, scaler, X_test = served
-    clf = StreamingNystroemClassifier(fmap, model, scaler=scaler, buffer_size=4)
-    clf.submit(X_test[0])
-    with pytest.raises(SVMError):
-        clf.submit(np.ones(X_test.shape[1] + 2))
-    # the valid row is still pending and classifiable
-    assert clf.pending == 1
-    out = clf.flush()
-    assert out is not None and out.num_points == 1
+    clf = StreamingNystroemClassifier(fmap, model, scaler=scaler)
+    expected = clf.classify(X_test[:1]).decision_values[0]
+    with AsyncServingQueue(clf, max_batch=4, max_wait_ms=10_000.0) as queue:
+        future = queue.submit(X_test[0])
+        with pytest.raises(ServingError):
+            queue.submit(np.ones(X_test.shape[1] + 2))
+        queue.flush()
+        assert future.result(timeout=60).decision_value == expected
 
 
 # ----------------------------------------------------------------------

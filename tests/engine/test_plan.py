@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import CrossGramPlan, KernelRowPlan, PairJob, SymmetricGramPlan
+from repro.engine import CrossGramPlan, PairJob, SymmetricGramPlan
 from repro.exceptions import KernelError
 
 
@@ -43,14 +43,6 @@ def test_cross_plan_enumerates_every_pair():
         (i, j) for i in range(2) for j in range(3)
     }
     assert np.array_equal(plan.initial_matrix(), np.zeros((2, 3)))
-
-
-def test_kernel_row_plan_is_a_cross_plan_over_train_states():
-    plan = KernelRowPlan(5, num_rows=2)
-    assert isinstance(plan, CrossGramPlan)
-    assert plan.shape == (2, 5)
-    assert plan.num_train == 5
-    assert plan.num_pairs == 10
 
 
 def test_plan_validation():

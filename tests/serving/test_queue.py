@@ -1,4 +1,4 @@
-"""Unit tests for the async serving queue and the shared landmark store."""
+"""Unit tests for the async serving queue and its worker-pool attachment."""
 
 import pickle
 import threading
@@ -6,14 +6,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.approx import NystroemConfig
+from repro.approx import NystroemConfig, StreamingNystroemClassifier
 from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
-from repro.exceptions import ReproError, ServingError
+from repro.exceptions import ReproError, ServingError, SVMError
 from repro.profiling import ServingMetrics
-from repro.serving import AsyncServingQueue, SharedLandmarkStore, ServedPrediction
-from repro.serving.store import shared_store_kernel_rows
+from repro.serving import AsyncServingQueue, ServedPrediction
+from repro.serving.store import attach_shared_store, shared_store_kernel_rows
 
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
@@ -178,25 +178,43 @@ def test_concurrent_submitters_all_served(served_engine, queries):
 
 
 # ----------------------------------------------------------------------
-# Shared landmark store
+# Worker attachment of the served model
 # ----------------------------------------------------------------------
 def test_shared_store_round_trip(served_engine, queries):
+    import repro.serving.store as store_module
+
     clf = served_engine.streaming_classifier()
     payload = clf.serving_payload()
     # The payload must survive pickling (it crosses process boundaries).
     payload = pickle.loads(pickle.dumps(payload))
-    replica = SharedLandmarkStore.attach(payload)
-    assert replica.num_landmarks == 6
     reference = clf.classify(queries)
-    assert np.array_equal(replica.decision_function(queries), reference.decision_values)
-    assert np.array_equal(replica.predict(queries), reference.predictions)
+    replica = StreamingNystroemClassifier.from_serving_payload(payload)
+    assert len(replica.feature_map.landmark_states_) == 6
+    attached = replica.classify(queries)
+    assert np.array_equal(attached.decision_values, reference.decision_values)
+    assert np.array_equal(attached.predictions, reference.predictions)
+
+    # The pool worker path: attach, then compute one block's kernel rows.
+    saved = store_module._ATTACHED
+    try:
+        attach_shared_store(payload)
+        rows = shared_store_kernel_rows(clf.scale(queries))
+    finally:
+        store_module._ATTACHED = saved
+    assert np.array_equal(rows, reference.kernel_rows)
 
 
 def test_shared_store_rejects_incomplete_payload(served_engine):
     payload = served_engine.streaming_classifier().serving_payload()
     payload.pop("normalization")
-    with pytest.raises(ServingError, match="missing keys"):
-        SharedLandmarkStore.attach(payload)
+    with pytest.raises(SVMError, match="missing keys"):
+        attach_shared_store(payload)
+    # A swap onto a malformed payload fails the same way, before any slot
+    # changes, and the queue keeps serving the old model.
+    with served_engine.serving_queue(max_batch=4) as queue:
+        with pytest.raises(SVMError, match="missing keys"):
+            queue.swap_payload(payload)
+        assert queue.model_version == 0
 
 
 def test_worker_task_requires_attachment():
