@@ -52,6 +52,7 @@ from repro.approx import DriftConfig, DriftController, NystroemConfig
 from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
+from repro.serving import AsyncServingQueue
 from repro.svm import SplitConformalClassifier
 from repro.telemetry import MetricsRegistry, bind_drift_controller, bind_queue
 
@@ -127,7 +128,9 @@ def run_benchmark(args) -> tuple[dict, list]:
         compare_cold=True,  # fit both starts so iteration counts are comparable
     )
 
-    queue = engine.serving_queue(max_batch=8, max_wait_ms=2.0)
+    queue = AsyncServingQueue(
+        engine.streaming_classifier(), max_batch=8, max_wait_ms=2.0
+    )
     registry = MetricsRegistry()
     bind_queue(registry, queue)
     controller = DriftController(

@@ -33,6 +33,7 @@ from repro.approx import NystroemConfig
 from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
+from repro.serving import AsyncServingQueue
 from repro.telemetry import TRACER, attach_endpoint, parse_prometheus_text
 
 #: The acceptance surface every scrape must expose.
@@ -67,7 +68,9 @@ def build_queue(args):
         ansatz, approximation=NystroemConfig(num_landmarks=args.landmarks, seed=0)
     )
     engine.fit(data.features, data.labels)
-    return engine.serving_queue(max_batch=8, max_wait_ms=2.0)
+    return AsyncServingQueue(
+        engine.streaming_classifier(), max_batch=8, max_wait_ms=2.0
+    )
 
 
 def main() -> None:

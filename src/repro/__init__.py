@@ -20,8 +20,9 @@ Fitzpatrick; SC 2024).  The package provides:
 * a synthetic Elliptic-Bitcoin-like dataset (:mod:`repro.data`),
 * distributed Gram-matrix strategies with communication accounting
   (:mod:`repro.parallel`),
-* an async batch-coalescing serving queue with a cross-process shared
-  landmark store (:mod:`repro.serving`),
+* a serving tier behind one entry point, :func:`repro.serve`: batch-coalescing
+  queues, worker pools, replica routing, durable state snapshots and hot
+  model swaps (:mod:`repro.serving`),
 * CPU and simulated-GPU backends with device cost models
   (:mod:`repro.backends`),
 * an end-to-end classification pipeline (:mod:`repro.core`).

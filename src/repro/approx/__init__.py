@@ -13,9 +13,10 @@ layered on the unified :class:`~repro.engine.KernelEngine`:
   eigendecomposition;
 * :mod:`~repro.approx.linear_svc` -- a primal squared-hinge linear SVM
   trained by semismooth Newton in the feature space, ``O(n m^2)`` overall;
-* :mod:`~repro.approx.streaming` -- batched classification of newly
-  arriving points via one kernel-row block sweep against the cached
-  landmark states (``m`` overlaps per query, constant memory in ``n``);
+* :mod:`~repro.approx.streaming` -- the one scoring path of a served
+  model: batched classification of newly arriving points via one
+  kernel-row block sweep against the cached landmark states (``m``
+  overlaps per query, constant memory in ``n``);
 * :mod:`~repro.approx.drift` -- the online adaptation loop: a rolling
   conformal-coverage alarm, shadow refits that grow the landmark set from
   poorly reconstructed traffic, and atomic hot swaps into the serving tier.
@@ -39,7 +40,7 @@ from .landmarks import (
 )
 from .linear_svc import LinearSVC
 from .nystroem import NystroemConfig, NystroemFeatureMap, NystroemReport
-from .streaming import StreamingBatchResult, StreamingNystroemClassifier
+from .streaming import InferenceResult, StreamingNystroemClassifier
 
 __all__ = [
     "LandmarkSelector",
@@ -55,7 +56,7 @@ __all__ = [
     "NystroemFeatureMap",
     "NystroemReport",
     "LinearSVC",
-    "StreamingBatchResult",
+    "InferenceResult",
     "StreamingNystroemClassifier",
     "DriftConfig",
     "DriftAdaptation",

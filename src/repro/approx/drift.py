@@ -458,21 +458,19 @@ class DriftController:
                 span.set_attribute("landmarks", new_rows.shape[0])
                 span.set_attribute("warm_iterations", warm_iters)
 
+        new_classifier = StreamingNystroemClassifier(
+            new_map,
+            model,
+            scaler=self.classifier.scaler,
+        )
         with TRACER.span("drift.recalibrate") as span:
-            calib_decisions = np.asarray(
-                model.decision_function(new_map.transform(X_scaled[calib_idx]))
-            ).ravel()
+            calib_decisions = new_classifier.classify(rows_raw[calib_idx]).decision_values
             new_conformal = SplitConformalClassifier(
                 alpha=self.conformal.alpha
             ).calibrate(calib_decisions, y_calib)
             if span is not None:
                 span.set_attribute("calibration_samples", int(n_calib))
 
-        new_classifier = StreamingNystroemClassifier(
-            new_map,
-            model,
-            scaler=self.classifier.scaler,
-        )
         report_fields = {
             "old_num_landmarks": int(old_rows.shape[0]),
             "new_num_landmarks": int(new_rows.shape[0]),

@@ -244,7 +244,7 @@ class NystroemFeatureMap:
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray) -> "NystroemFeatureMap":
-        """Select landmarks, build ``K_mm`` and ``K_nm``, factorise.
+        """Select landmarks, then :meth:`fit_with_landmarks` on them.
 
         ``X`` must already be scaled to the feature map's interval.  Issues
         exactly ``m (m - 1) / 2`` symmetric-plan pairs plus ``n m``
@@ -257,35 +257,11 @@ class NystroemFeatureMap:
             raise KernelError(
                 f"num_landmarks ({m}) exceeds the number of samples ({n})"
             )
-
         idx = select_landmarks(
             X, m, strategy=self.config.strategy, seed=self.config.seed
         )
+        self.fit_with_landmarks(X, X[idx])
         self.landmark_indices_ = idx
-        self.landmark_rows_ = X[idx].copy()
-
-        gram_result = self.engine.gram(self.landmark_rows_)
-        self.report.absorb(gram_result)
-        K_mm = gram_result.matrix
-        states = list(gram_result.states)
-        if not states:
-            # The multiprocess executor keeps no states; encode them here
-            # (served from the store when caching is on).
-            states = self.engine.encode_rows(self.landmark_rows_)
-        self.landmark_states_ = states
-        # Stack the landmark tensors once; every streaming transform sweeps
-        # against this block with zero per-pair stacking.
-        self.landmark_block_ = StackedStateBlock(states)
-
-        # One stacked block sweep in process (and the modelled CPU/GPU
-        # dispatch point when the engine has a cross_backend); the
-        # multiprocess executor fans the block out over tiles instead.
-        cross_result = self.engine.cross(X, self.landmark_states_)
-        self.report.absorb(cross_result)
-        K_nm = cross_result.matrix
-
-        self.normalization_ = self._factorise(K_mm)
-        self.train_features_ = K_nm @ self.normalization_
         return self
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
@@ -322,10 +298,17 @@ class NystroemFeatureMap:
         K_mm = gram_result.matrix
         states = list(gram_result.states)
         if not states:
+            # The multiprocess executor keeps no states; encode them here
+            # (served from the store when caching is on).
             states = self.engine.encode_rows(self.landmark_rows_)
         self.landmark_states_ = states
+        # Stack the landmark tensors once; every streaming transform sweeps
+        # against this block with zero per-pair stacking.
         self.landmark_block_ = StackedStateBlock(states)
 
+        # One stacked block sweep in process (and the modelled CPU/GPU
+        # dispatch point when the engine has a cross_backend); the
+        # multiprocess executor fans the block out over tiles instead.
         cross_result = self.engine.cross(X, self.landmark_states_)
         self.report.absorb(cross_result)
         K_nm = cross_result.matrix
@@ -370,25 +353,36 @@ class NystroemFeatureMap:
     def transform_result(self, X_new: np.ndarray) -> tuple[np.ndarray, EngineResult]:
         """As :meth:`transform`, also returning the raw engine result.
 
+        :meth:`landmark_kernel_rows` followed by :meth:`project_kernel_rows`.
         The projection is evaluated row-wise so that a point's features do
         not depend on which other points shared its batch -- the invariant
         the serving layer's batched-vs-sequential equivalence relies on.
         """
+        result = self.landmark_kernel_rows(X_new)
+        self.report.absorb(result, transform=True)
+        return self.project_kernel_rows(result.matrix), result
+
+    def landmark_kernel_rows(self, X_new: np.ndarray) -> EngineResult:
+        """Kernel rows of new (scaled) rows against the landmark states.
+
+        One :meth:`~repro.engine.KernelEngine.kernel_rows` sweep against the
+        pre-stacked landmark block: ``m`` overlaps per row, with cold rows
+        encoded in one stacked gate sweep.  Pool workers serving an attached
+        replica call this same method on their row block.
+        """
         self._require_fitted()
-        assert self.normalization_ is not None
-        result = self.engine.kernel_rows(
+        return self.engine.kernel_rows(
             X_new, self.landmark_states_, block=self.landmark_block_
         )
-        self.report.absorb(result, transform=True)
-        return rowwise_matmul(result.matrix, self.normalization_), result
 
     def project_kernel_rows(self, kernel_rows: np.ndarray) -> np.ndarray:
         """Map precomputed landmark kernel rows to feature space, row-wise.
 
         Accepts a ``batch x m`` block of overlaps against the landmarks
-        (e.g. assembled from distributed workers) and applies the same
-        per-row normalisation :meth:`transform_result` uses, so both entry
-        points produce bit-identical features for identical rows.
+        (e.g. assembled from distributed workers) and applies the per-row
+        normalisation; :meth:`transform_result` projects through here too,
+        so identical rows give bit-identical features wherever they were
+        computed.
         """
         self._require_fitted()
         assert self.normalization_ is not None

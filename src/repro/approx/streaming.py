@@ -1,4 +1,4 @@
-"""Streaming classification on top of a fitted Nystrom feature map.
+"""The one scoring path of a served Nystrom model.
 
 The serving story of the exact path computes ``n_train`` overlaps per query.
 With a Nystrom model the hot path shrinks to ``m`` overlaps against the
@@ -9,9 +9,13 @@ training set is never touched after fit, so a serving process only has to
 hold the landmark states, the normalisation and the weight vector: constant
 memory in the training-set size.
 
-:class:`StreamingNystroemClassifier` classifies one batch at a time
-(:meth:`~StreamingNystroemClassifier.classify`); coalescing arriving
-requests into batches is the job of :class:`repro.serving.AsyncServingQueue`.
+:class:`StreamingNystroemClassifier` is the only object that scores a served
+Nystrom model: scale, landmark kernel rows, row-wise projection, decide.
+:meth:`~StreamingNystroemClassifier.classify` runs that on one batch; the
+inference engine's Nystrom path, every :class:`repro.serving.AsyncServingQueue`
+slot (in process or with a worker pool computing the kernel rows), the drift
+controller's recalibration and :func:`repro.serve` all score through it, and
+every one of them returns an :class:`InferenceResult`.
 
 A batch's cold rows -- rows the engine's state store has not seen -- are
 encoded through one stacked gate sweep
@@ -34,7 +38,7 @@ from ..exceptions import KernelError, SVMError
 from ..svm import FeatureScaler
 from .nystroem import NystroemFeatureMap
 
-__all__ = ["StreamingBatchResult", "StreamingNystroemClassifier"]
+__all__ = ["InferenceResult", "StreamingNystroemClassifier"]
 
 
 class _LinearModel(Protocol):
@@ -44,24 +48,59 @@ class _LinearModel(Protocol):
 
 
 @dataclass(frozen=True)
-class StreamingBatchResult:
-    """Classification of one streamed micro-batch plus cost accounting."""
+class InferenceResult:
+    """Predictions for a batch of new points plus cost accounting.
+
+    ``features`` holds the Nystrom feature rows (``None`` on the exact
+    path, which scores kernel rows directly).  The accounting fields are
+    zero when the quantum work ran in other processes (a worker pool).
+    """
 
     predictions: np.ndarray
     decision_values: np.ndarray
-    features: np.ndarray
     kernel_rows: np.ndarray
-    num_simulations: int
-    num_inner_products: int
-    cache_hits: int
-    cache_misses: int
-    simulation_time_s: float
-    inner_product_time_s: float
+    features: Optional[np.ndarray] = None
+    num_simulations: int = 0
+    num_inner_products: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    simulation_time_s: float = 0.0
+    inner_product_time_s: float = 0.0
 
     @property
     def num_points(self) -> int:
-        """Number of classified points in the batch."""
+        """Number of classified points."""
         return int(self.predictions.shape[0])
+
+    @classmethod
+    def scored(
+        cls,
+        decisions: np.ndarray,
+        kernel_rows: np.ndarray,
+        cost: EngineResult | None = None,
+        features: np.ndarray | None = None,
+    ) -> "InferenceResult":
+        """Result of decision values, charged with ``cost``'s accounting."""
+        accounting = {}
+        if cost is not None:
+            accounting = {
+                name: getattr(cost, name)
+                for name in (
+                    "num_simulations",
+                    "num_inner_products",
+                    "cache_hits",
+                    "cache_misses",
+                    "simulation_time_s",
+                    "inner_product_time_s",
+                )
+            }
+        return cls(
+            predictions=(decisions > 0).astype(int),
+            decision_values=decisions,
+            kernel_rows=kernel_rows,
+            features=features,
+            **accounting,
+        )
 
 
 class StreamingNystroemClassifier:
@@ -107,67 +146,34 @@ class StreamingNystroemClassifier:
             X_raw = X_raw[None, :]
         return self.scaler.transform(X_raw) if self.scaler is not None else X_raw
 
-    def classify(self, X_raw: np.ndarray) -> StreamingBatchResult:
-        """Classify a batch immediately (scaling -> row plan -> linear model).
+    def classify(self, X_raw: np.ndarray) -> InferenceResult:
+        """Classify a batch immediately (scaling -> kernel rows -> decide).
 
-        The kernel-row plan is cache-aware end to end: rows already in the
+        The kernel-row sweep is cache-aware end to end: rows already in the
         engine's state store skip simulation entirely, and the remaining cold
         rows are encoded together in one stacked gate sweep before the
         landmark overlaps run.  ``num_simulations`` on the result therefore
         counts exactly the batch's cold rows.
         """
-        Xs = self.scale(X_raw)
-        phi, engine_result = self.feature_map.transform_result(Xs)
-        decisions = np.asarray(self.model.decision_function(phi)).ravel()
-        self.num_served += phi.shape[0]
-        return StreamingBatchResult(
-            predictions=(decisions > 0).astype(int),
-            decision_values=decisions,
-            features=phi,
-            kernel_rows=engine_result.matrix,
-            num_simulations=engine_result.num_simulations,
-            num_inner_products=engine_result.num_inner_products,
-            cache_hits=engine_result.cache_hits,
-            cache_misses=engine_result.cache_misses,
-            simulation_time_s=engine_result.simulation_time_s,
-            inner_product_time_s=engine_result.inner_product_time_s,
-        )
+        phi, result = self.feature_map.transform_result(self.scale(X_raw))
+        return self._score(phi, result.matrix, result)
 
-    def classify_kernel_rows(
-        self, kernel_rows: np.ndarray, engine_result: "EngineResult | None" = None
-    ) -> StreamingBatchResult:
-        """Score precomputed landmark kernel rows (distributed flush path).
+    def _score(
+        self,
+        phi: np.ndarray,
+        kernel_rows: np.ndarray,
+        cost: EngineResult | None = None,
+    ) -> InferenceResult:
+        """Decide on projected features: the one scoring body.
 
-        ``kernel_rows`` is the ``batch x m`` overlap block against the
-        landmarks, e.g. assembled from worker processes that attached the
-        shared landmark store.  The projection and the decision values run
-        through the exact same row-wise code :meth:`classify` uses, so
-        identical kernel rows yield bit-identical predictions regardless of
-        which process computed the overlaps.  ``engine_result`` (when the
-        caller has one) fills the cost-accounting fields; otherwise they are
-        reported as zero because the quantum work happened elsewhere.
+        :meth:`classify` and the serving queue's worker-pool path (whose
+        kernel rows come from other processes, so ``cost`` is ``None``) both
+        end here, so identical kernel rows give bit-identical decisions
+        whichever process computed the overlaps.
         """
-        phi = self.feature_map.project_kernel_rows(kernel_rows)
         decisions = np.asarray(self.model.decision_function(phi)).ravel()
         self.num_served += phi.shape[0]
-        return StreamingBatchResult(
-            predictions=(decisions > 0).astype(int),
-            decision_values=decisions,
-            features=phi,
-            kernel_rows=np.asarray(kernel_rows, dtype=float),
-            num_simulations=engine_result.num_simulations if engine_result else 0,
-            num_inner_products=(
-                engine_result.num_inner_products if engine_result else 0
-            ),
-            cache_hits=engine_result.cache_hits if engine_result else 0,
-            cache_misses=engine_result.cache_misses if engine_result else 0,
-            simulation_time_s=(
-                engine_result.simulation_time_s if engine_result else 0.0
-            ),
-            inner_product_time_s=(
-                engine_result.inner_product_time_s if engine_result else 0.0
-            ),
-        )
+        return InferenceResult.scored(decisions, kernel_rows, cost, features=phi)
 
     # ------------------------------------------------------------------
     def attach_conformal(

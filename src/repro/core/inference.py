@@ -26,6 +26,7 @@ from typing import List
 import numpy as np
 
 from ..approx import (
+    InferenceResult,
     LinearSVC,
     NystroemConfig,
     NystroemFeatureMap,
@@ -39,26 +40,6 @@ from ..mps import MPS
 from ..svm import FeatureScaler, PrecomputedKernelSVC
 
 __all__ = ["InferenceResult", "QuantumKernelInferenceEngine"]
-
-
-@dataclass(frozen=True)
-class InferenceResult:
-    """Predictions for a batch of new data points plus cost accounting."""
-
-    predictions: np.ndarray
-    decision_values: np.ndarray
-    kernel_rows: np.ndarray
-    simulation_time_s: float
-    inner_product_time_s: float
-    num_inner_products: int
-    num_simulations: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def num_points(self) -> int:
-        """Number of classified points."""
-        return int(self.predictions.shape[0])
 
 
 @dataclass
@@ -101,8 +82,7 @@ class QuantumKernelInferenceEngine:
     _train_states: List[MPS] = field(default_factory=list, repr=False)
     _train_block: StackedStateBlock | None = field(default=None, repr=False)
     _model: PrecomputedKernelSVC | None = field(default=None, repr=False)
-    _feature_map: NystroemFeatureMap | None = field(default=None, repr=False)
-    _linear_model: LinearSVC | None = field(default=None, repr=False)
+    _classifier: StreamingNystroemClassifier | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self._engine = KernelEngine(
@@ -117,7 +97,7 @@ class QuantumKernelInferenceEngine:
     @property
     def is_fitted(self) -> bool:
         """Whether :meth:`fit` has completed."""
-        return self._model is not None or self._linear_model is not None
+        return self._model is not None or self._classifier is not None
 
     @property
     def is_approximate(self) -> bool:
@@ -155,10 +135,12 @@ class QuantumKernelInferenceEngine:
         X_train = np.asarray(X_train, dtype=float)
         Xs = self._scaler.fit_transform(X_train)
         if self.approximation is not None:
-            self._feature_map = NystroemFeatureMap(self.engine, self.approximation)
-            phi = self._feature_map.fit_transform(Xs)
-            self._linear_model = LinearSVC(C=self.C).fit(phi, y_train)
-            self._train_states = list(self._feature_map.landmark_states_)
+            feature_map = NystroemFeatureMap(self.engine, self.approximation)
+            phi = feature_map.fit_transform(Xs)
+            self._classifier = StreamingNystroemClassifier(
+                feature_map, LinearSVC(C=self.C).fit(phi, y_train), scaler=self._scaler
+            )
+            self._train_states = list(feature_map.landmark_states_)
             return self
         result = self.engine.gram(Xs)
         self._train_states = list(result.states)
@@ -174,45 +156,30 @@ class QuantumKernelInferenceEngine:
             raise SVMError("inference engine is not fitted; call fit() first")
 
     def kernel_rows(self, X_new: np.ndarray) -> InferenceResult:
-        """Kernel rows of new points against the stored states.
+        """Kernel rows of new points against the stored states, scored.
 
         Exact path: rows against every training state, scored by the SMO
-        model.  Nystrom path: rows against the ``m`` landmark states only,
-        mapped through the low-rank normalisation and scored by the linear
-        model -- the full training set is never touched.
+        model.  Nystrom path: :meth:`StreamingNystroemClassifier.classify`
+        -- rows against the ``m`` landmark states only, projected and scored
+        by the linear model; the full training set is never touched.
         """
         self._require_fitted()
+        if self._classifier is not None:
+            return self._classifier.classify(X_new)
+        assert self._model is not None
         X_new = np.asarray(X_new, dtype=float)
         if X_new.ndim == 1:
             X_new = X_new[None, :]
-        Xs = self._scaler.transform(X_new)
-
-        if self.approximation is not None:
-            assert self._feature_map is not None and self._linear_model is not None
-            phi, result = self._feature_map.transform_result(Xs)
-            decisions = self._linear_model.decision_function(phi)
-        else:
-            assert self._model is not None
-            if self._train_block is None and self._train_states:
-                # Stack the stored states on first serve (not at fit): the
-                # block duplicates every site tensor, so train-only usage
-                # should not pay the memory.
-                self._train_block = StackedStateBlock(self._train_states)
-            result = self.engine.kernel_rows(
-                Xs, self._train_states, block=self._train_block
-            )
-            decisions = self._model.decision_function(result.matrix)
-        return InferenceResult(
-            predictions=(decisions > 0).astype(int),
-            decision_values=decisions,
-            kernel_rows=result.matrix,
-            simulation_time_s=result.simulation_time_s,
-            inner_product_time_s=result.inner_product_time_s,
-            num_inner_products=result.num_inner_products,
-            num_simulations=result.num_simulations,
-            cache_hits=result.cache_hits,
-            cache_misses=result.cache_misses,
+        if self._train_block is None and self._train_states:
+            # Stack the stored states on first serve (not at fit): the
+            # block duplicates every site tensor, so train-only usage
+            # should not pay the memory.
+            self._train_block = StackedStateBlock(self._train_states)
+        result = self.engine.kernel_rows(
+            self._scaler.transform(X_new), self._train_states, block=self._train_block
         )
+        decisions = self._model.decision_function(result.matrix)
+        return InferenceResult.scored(decisions, result.matrix, result)
 
     def decision_function(self, X_new: np.ndarray) -> np.ndarray:
         """Continuous decision values for new raw feature rows."""
@@ -226,53 +193,32 @@ class QuantumKernelInferenceEngine:
     def streaming_classifier(self) -> StreamingNystroemClassifier:
         """The fitted Nystrom model as a raw-traffic streaming classifier.
 
-        Shares this engine's feature map, linear model and scaler (and hence
-        the state store), so the returned classifier's predictions match
-        :meth:`predict` exactly.  Only available on the approximate path --
-        exact serving touches every training state and has no constant-memory
+        A fresh wrapper over this engine's feature map, linear model and
+        scaler (and hence the state store), so its predictions match
+        :meth:`predict` exactly while conformal or feedback state attached to
+        it stays with the caller.  Serve it with
+        ``AsyncServingQueue(engine.streaming_classifier(), ...)`` or
+        :func:`repro.serve`.  Only available on the approximate path -- exact
+        serving touches every training state and has no constant-memory
         streaming story.
         """
         self._require_fitted()
-        if self._feature_map is None or self._linear_model is None:
+        if self._classifier is None:
             raise SVMError(
                 "streaming serving requires a Nystrom-backed engine; "
                 "construct with approximation=NystroemConfig(...)"
             )
         return StreamingNystroemClassifier(
-            self._feature_map,
-            self._linear_model,
+            self._classifier.feature_map,
+            self._classifier.model,
             scaler=self._scaler,
         )
-
-    def serving_queue(self, **queue_kwargs):
-        """An :class:`~repro.serving.AsyncServingQueue` over this model.
-
-        Keyword arguments pass through to the queue constructor
-        (``max_batch``, ``max_wait_ms``, ``workers``, ``seed``, ...).  The
-        caller owns the returned queue and must ``close()`` it (or use it as
-        a context manager).
-        """
-        from ..serving import AsyncServingQueue
-
-        return AsyncServingQueue(self.streaming_classifier(), **queue_kwargs)
 
     def serving_payload(self) -> dict:
         """The fitted model as one picklable payload (see streaming docs).
 
         Serialised once, attached anywhere: pool workers, standalone
-        replicas, or a :class:`~repro.serving.ReplicaRouter` fleet.
+        replicas, or :func:`repro.serve` / a
+        :class:`~repro.serving.ReplicaRouter` fleet.
         """
         return self.streaming_classifier().serving_payload()
-
-    def replica_router(self, **router_kwargs):
-        """A :class:`~repro.serving.ReplicaRouter` fleet over this model.
-
-        Serialises the fitted model once and hands it to the router, which
-        attaches one replica engine per ``num_replicas``.  Keyword arguments
-        pass through (``num_replicas``, ``policy``,
-        ``queue_depth_high_water``, ``persistence_root``, plus any queue
-        knobs); the caller owns the returned router and must ``close()`` it.
-        """
-        from ..serving import ReplicaRouter
-
-        return ReplicaRouter(self.serving_payload(), **router_kwargs)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -142,6 +143,13 @@ class StateStore:
         Eviction budget measured in MPS tensor bytes
         (:attr:`repro.mps.MPS.memory_bytes`).  ``None`` disables eviction.
         A state larger than the whole budget is simply not retained.
+
+    The store is shared across threads: a serving queue's flush thread
+    writes to it while ``ReplicaRouter.snapshot()`` / ``kill_replica()``
+    dump or merge entries from a caller's thread.  One re-entrant lock
+    serialises every read and write of the entries, the byte tally and the
+    counters, so ``bytes_in_use`` always equals the sum of
+    :meth:`entry_sizes`.
     """
 
     def __init__(self, max_bytes: int | None = None) -> None:
@@ -154,6 +162,7 @@ class StateStore:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -169,29 +178,31 @@ class StateStore:
 
     def get(self, key: str) -> MPS | None:
         """Return the cached state for ``key`` (and mark it recently used)."""
-        state = self._entries.get(key)
-        if state is None:
-            self._misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self._hits += 1
-        return state
+        with self._lock:
+            state = self._entries.get(key)
+            if state is None:
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return state
 
     def put(self, key: str, state: MPS) -> None:
         """Insert (or refresh) a state, evicting LRU entries over budget."""
         nbytes = state.memory_bytes
-        if key in self._entries:
-            self._bytes_in_use -= self._entry_bytes[key]
-            del self._entries[key]
-            del self._entry_bytes[key]
-        if self.max_bytes is not None and nbytes > self.max_bytes:
-            # The state alone busts the budget; caching it would immediately
-            # evict everything else for no reuse benefit.
-            return
-        self._entries[key] = state
-        self._entry_bytes[key] = nbytes
-        self._bytes_in_use += nbytes
-        self._evict_over_budget()
+        with self._lock:
+            if key in self._entries:
+                self._bytes_in_use -= self._entry_bytes[key]
+                del self._entries[key]
+                del self._entry_bytes[key]
+            if self.max_bytes is not None and nbytes > self.max_bytes:
+                # The state alone busts the budget; caching it would
+                # immediately evict everything else for no reuse benefit.
+                return
+            self._entries[key] = state
+            self._entry_bytes[key] = nbytes
+            self._bytes_in_use += nbytes
+            self._evict_over_budget()
 
     def _evict_over_budget(self) -> None:
         if self.max_bytes is None:
@@ -211,9 +222,10 @@ class StateStore:
 
     def clear(self) -> None:
         """Drop every entry (statistics are preserved)."""
-        self._entries.clear()
-        self._entry_bytes.clear()
-        self._bytes_in_use = 0
+        with self._lock:
+            self._entries.clear()
+            self._entry_bytes.clear()
+            self._bytes_in_use = 0
 
     # ------------------------------------------------------------------
     def dump_entries(self, keys: Sequence[str] | None = None) -> bytes:
@@ -223,18 +235,19 @@ class StateStore:
         unknown keys raise so a serving layer cannot silently ship an
         incomplete landmark set.  Dumping does not count as a lookup.
         """
-        if keys is None:
-            selected = list(self._entries.items())
-        else:
-            missing = [k for k in keys if k not in self._entries]
-            if missing:
-                raise EngineError(
-                    f"cannot dump {len(missing)} unknown store key(s): "
-                    f"{missing[:3]}..."
-                    if len(missing) > 3
-                    else f"cannot dump unknown store key(s): {missing}"
-                )
-            selected = [(k, self._entries[k]) for k in keys]
+        with self._lock:
+            if keys is None:
+                selected = list(self._entries.items())
+            else:
+                missing = [k for k in keys if k not in self._entries]
+                if missing:
+                    raise EngineError(
+                        f"cannot dump {len(missing)} unknown store key(s): "
+                        f"{missing[:3]}..."
+                        if len(missing) > 3
+                        else f"cannot dump unknown store key(s): {missing}"
+                    )
+                selected = [(k, self._entries[k]) for k in keys]
         return pickle.dumps(selected, protocol=pickle.HIGHEST_PROTOCOL)
 
     def load_entries(self, payload: bytes) -> int:
@@ -269,11 +282,12 @@ class StateStore:
         ):
             raise EngineError("payload is not a StateStore entry dump")
         count = 0
-        for key, state in entries:
-            if self.max_bytes is not None and state.memory_bytes > self.max_bytes:
-                continue
-            self.put(key, state)
-            count += 1
+        with self._lock:
+            for key, state in entries:
+                if self.max_bytes is not None and state.memory_bytes > self.max_bytes:
+                    continue
+                self.put(key, state)
+                count += 1
         return count
 
     def keys(self) -> List[str]:
@@ -283,7 +297,8 @@ class StateStore:
         no explicit key list, so a snapshot manifest can record the payload's
         layout without deserialising it.
         """
-        return list(self._entries)
+        with self._lock:
+            return list(self._entries)
 
     def entry_sizes(self) -> dict[str, int]:
         """Tensor bytes per cached key.
@@ -291,15 +306,17 @@ class StateStore:
         Snapshot manifests persist these sizes so a warm-up pass can budget
         its prefetch without deserialising any state first.
         """
-        return dict(self._entry_bytes)
+        with self._lock:
+            return dict(self._entry_bytes)
 
     def stats(self) -> CacheStats:
         """Current counter snapshot."""
-        return CacheStats(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            num_entries=len(self._entries),
-            bytes_in_use=self._bytes_in_use,
-            max_bytes=self.max_bytes,
-        )
+        with self._lock:
+            return CacheStats(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                num_entries=len(self._entries),
+                bytes_in_use=self._bytes_in_use,
+                max_bytes=self.max_bytes,
+            )

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Accounting keys aggregated (by summation, except max-reductions) across
-#: worker tiles by :meth:`MultiprocessGramComputer.compute_with_stats`.
+#: worker tiles by :func:`_assemble`.
 _SUM_KEYS = (
     "wall_simulation_time_s",
     "wall_inner_product_time_s",
@@ -53,6 +53,57 @@ _SUM_KEYS = (
     "num_inner_products",
 )
 _MAX_KEYS = ("max_bond_dimension",)
+
+
+def _resolve_workers(max_workers: int | None) -> int:
+    if max_workers is not None:
+        if max_workers < 0:
+            raise ParallelError("max_workers must be >= 0")
+        return max_workers
+    return min(4, os.cpu_count() or 1)
+
+
+def _worker_kwargs(
+    ansatz: AnsatzConfig, simulation: SimulationConfig | None
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """The ansatz and simulation configs as the plain dicts workers rebuild."""
+    config = simulation if simulation is not None else SimulationConfig()
+    return ansatz.to_dict(), config.to_dict()
+
+
+def _run_tiles(task: Any, jobs: Sequence[tuple], workers: int) -> List[Any]:
+    """Run ``task(*job)`` per tile: in process, or over a process pool."""
+    if workers <= 1:
+        return [task(*job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(task, *job) for job in jobs]
+        return [f.result() for f in futures]
+
+
+def _assemble(
+    results: Sequence[Tuple[List[Tuple[int, int, float]], Dict[str, Any]]],
+    matrix: np.ndarray,
+    symmetric: bool,
+) -> Tuple[Dict[str, float], Dict[int, int]]:
+    """Write every tile's entries into ``matrix`` and aggregate its stats.
+
+    Returns the summed/maxed accounting and the per-data-point state memory
+    (deduplicated across tiles that re-simulated the same point).
+    """
+    stats: Dict[str, float] = {key: 0.0 for key in _SUM_KEYS}
+    stats.update({key: 1.0 for key in _MAX_KEYS})
+    memory_by_index: Dict[int, int] = {}
+    for entries, tile_stats in results:
+        for (i, j, value) in entries:
+            matrix[i, j] = value
+            if symmetric:
+                matrix[j, i] = value
+        for key in _SUM_KEYS:
+            stats[key] += tile_stats.get(key, 0.0)
+        for key in _MAX_KEYS:
+            stats[key] = max(stats[key], tile_stats.get(key, 1.0))
+        memory_by_index.update(tile_stats.get("state_memory_by_index", {}))
+    return stats, memory_by_index
 
 
 def compute_tile_entries(
@@ -219,20 +270,6 @@ class MultiprocessGramComputer:
     num_blocks: int | None = None
     backend_name: str = "cpu"
 
-    def _ansatz_kwargs(self) -> Dict[str, Any]:
-        return self.ansatz.to_dict()
-
-    def _simulation_kwargs(self) -> Dict[str, Any]:
-        config = self.simulation if self.simulation is not None else SimulationConfig()
-        return config.to_dict()
-
-    def _resolve_workers(self) -> int:
-        if self.max_workers is not None:
-            if self.max_workers < 0:
-                raise ParallelError("max_workers must be >= 0")
-            return self.max_workers
-        return min(4, os.cpu_count() or 1)
-
     def _tiles(self, num_points: int, workers: int) -> List[Tile]:
         if self.num_blocks is not None:
             blocks = min(self.num_blocks, num_points)
@@ -262,15 +299,14 @@ class MultiprocessGramComputer:
             )
 
         num_points = X.shape[0]
-        workers = self._resolve_workers()
+        workers = _resolve_workers(self.max_workers)
         tiles = self._tiles(num_points, workers)
-        matrix = np.eye(num_points)
-
+        ansatz_kwargs, simulation_kwargs = _worker_kwargs(self.ansatz, self.simulation)
         jobs = [
             (
                 X,
-                self._ansatz_kwargs(),
-                self._simulation_kwargs(),
+                ansatz_kwargs,
+                simulation_kwargs,
                 tile.row_indices,
                 tile.col_indices,
                 tile.symmetric_diagonal,
@@ -280,24 +316,9 @@ class MultiprocessGramComputer:
             for tile in tiles
         ]
 
-        if workers <= 1:
-            results = [compute_tile_entries(*job) for job in jobs]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(compute_tile_entries, *job) for job in jobs]
-                results = [f.result() for f in futures]
-
-        stats: Dict[str, float] = {key: 0.0 for key in _SUM_KEYS}
-        stats.update({key: 1.0 for key in _MAX_KEYS})
-        memory_by_index: Dict[int, int] = {}
-        for entries, tile_stats in results:
-            for (i, j, value) in entries:
-                matrix[i, j] = matrix[j, i] = value
-            for key in _SUM_KEYS:
-                stats[key] += tile_stats.get(key, 0.0)
-            for key in _MAX_KEYS:
-                stats[key] = max(stats[key], tile_stats.get(key, 1.0))
-            memory_by_index.update(tile_stats.get("state_memory_by_index", {}))
+        results = _run_tiles(compute_tile_entries, jobs, workers)
+        matrix = np.eye(num_points)
+        stats, memory_by_index = _assemble(results, matrix, symmetric=True)
         # Each data point counts once, matching the sequential path, even
         # though several tiles may have re-simulated it.
         stats["total_state_memory_bytes"] = float(sum(memory_by_index.values()))
@@ -330,20 +351,6 @@ class MultiprocessCrossGramComputer:
     max_workers: int | None = None
     num_blocks: int | None = None
     backend_name: str = "cpu"
-
-    def _ansatz_kwargs(self) -> Dict[str, Any]:
-        return self.ansatz.to_dict()
-
-    def _simulation_kwargs(self) -> Dict[str, Any]:
-        config = self.simulation if self.simulation is not None else SimulationConfig()
-        return config.to_dict()
-
-    def _resolve_workers(self) -> int:
-        if self.max_workers is not None:
-            if self.max_workers < 0:
-                raise ParallelError("max_workers must be >= 0")
-            return self.max_workers
-        return min(4, os.cpu_count() or 1)
 
     def _tiles(self, num_rows: int, num_cols: int, workers: int) -> List[Tile]:
         if self.num_blocks is not None:
@@ -393,7 +400,7 @@ class MultiprocessCrossGramComputer:
             raise ParallelError("col_states must not be empty")
 
         num_rows, num_cols = X_rows.shape[0], len(col_states)
-        workers = self._resolve_workers()
+        workers = _resolve_workers(self.max_workers)
         tiles = self._tiles(num_rows, num_cols, workers)
 
         # Serialise each column block exactly once, shared by every tile in
@@ -407,6 +414,7 @@ class MultiprocessCrossGramComputer:
                 payload_by_block[tile.col_block] = serialize_states(col_states[lo:hi])
                 offset_by_block[tile.col_block] = lo
 
+        ansatz_kwargs, simulation_kwargs = _worker_kwargs(self.ansatz, self.simulation)
         jobs = []
         for tile in tiles:
             row_lo, row_hi = tile.row_indices[0], tile.row_indices[-1] + 1
@@ -414,8 +422,8 @@ class MultiprocessCrossGramComputer:
                 (
                     X_rows[row_lo:row_hi],
                     payload_by_block[tile.col_block],
-                    self._ansatz_kwargs(),
-                    self._simulation_kwargs(),
+                    ansatz_kwargs,
+                    simulation_kwargs,
                     row_lo,
                     offset_by_block[tile.col_block],
                     True,
@@ -423,25 +431,9 @@ class MultiprocessCrossGramComputer:
                 )
             )
 
-        if workers <= 1:
-            results = [compute_cross_tile_entries(*job) for job in jobs]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(compute_cross_tile_entries, *job) for job in jobs]
-                results = [f.result() for f in futures]
-
+        results = _run_tiles(compute_cross_tile_entries, jobs, workers)
         matrix = np.zeros((num_rows, num_cols))
-        stats: Dict[str, float] = {key: 0.0 for key in _SUM_KEYS}
-        stats.update({key: 1.0 for key in _MAX_KEYS})
-        memory_by_index: Dict[int, int] = {}
-        for entries, tile_stats in results:
-            for (i, j, value) in entries:
-                matrix[i, j] = value
-            for key in _SUM_KEYS:
-                stats[key] += tile_stats.get(key, 0.0)
-            for key in _MAX_KEYS:
-                stats[key] = max(stats[key], tile_stats.get(key, 1.0))
-            memory_by_index.update(tile_stats.get("state_memory_by_index", {}))
+        stats, memory_by_index = _assemble(results, matrix, symmetric=False)
         stats["total_state_memory_bytes"] = float(
             sum(memory_by_index.values())
             + sum(s.memory_bytes for s in col_states)

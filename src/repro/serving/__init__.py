@@ -4,19 +4,23 @@ Production traffic arrives one request at a time; the engine is cheapest per
 point when it works in batches, and a real service must also survive
 restarts and run more than one replica.  This package closes those gaps:
 
+* :mod:`~repro.serving.handle` -- :func:`serve`, the one entry point: a
+  fitted engine, classifier or serving payload plus a
+  :class:`~repro.config.ServingConfig` become a :class:`ServingHandle`
+  (replica fleet, control loop, optional telemetry endpoint).
 * :mod:`~repro.serving.queue` -- :class:`AsyncServingQueue`, a
   batch-coalescing request queue in front of
   :class:`~repro.approx.StreamingNystroemClassifier`: requests accumulate up
-  to ``max_batch`` / ``max_wait_ms``, flush as one
-  :meth:`~repro.engine.KernelEngine.kernel_rows` block sweep, and resolve
-  futures carrying per-request latency; queue depth / throughput / p50 /
-  p99 land in :class:`repro.profiling.ServingMetrics`.
+  to ``max_batch`` / ``max_wait_ms``, flush as one ``classify`` of the
+  batch, and resolve futures carrying per-request latency; queue depth /
+  throughput / p50 / p99 land in :class:`repro.profiling.ServingMetrics`.
 * :mod:`~repro.serving.store` -- the worker-pool plumbing: the served model
   is serialised once (landmark MPS out of the engine's state store,
   normalisation, linear model, scaler) and attached per worker process as a
   :meth:`~repro.approx.StreamingNystroemClassifier.from_serving_payload`
-  replica, so flushes fan out over a pool without ever re-simulating a
-  landmark.
+  replica.  Workers compute their row block's landmark kernel rows without
+  ever re-simulating a landmark; the parent scores the assembled rows
+  through the classifier's one scoring body.
 * :mod:`~repro.serving.persistence` -- :class:`PersistentStateStore`, the
   durable tier: content-addressed on-disk snapshots of the state store
   (atomic temp-write-then-rename, versioned checksummed manifest) plus an
@@ -31,7 +35,9 @@ restarts and run more than one replica.  This package closes those gaps:
 The layer's correctness contract -- byte-identical predictions no matter how
 requests were coalesced, distributed, routed, or whether the process warm- or
 cold-started -- rests on the engine's grouping-invariant batched overlap
-sweep and the row-wise serving projections, and is enforced by
+sweep, the row-wise projection and the single scoring body of
+:class:`~repro.approx.StreamingNystroemClassifier`.  It is enforced by
+``tests/approx/test_scoring_paths.py``,
 ``tests/properties/test_metamorphic_serving.py``,
 ``tests/properties/test_router_metamorphic.py`` and the crash-recovery suite
 in ``tests/serving/``.

@@ -36,6 +36,7 @@ import hashlib
 import json
 import os
 import pickle
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,13 +225,17 @@ class PersistentStateStore:
         self.fingerprint = fingerprint
         self._sweep_stale_tmp()
         self._access_counts: Dict[str, int] = self._load_access_log()
+        # Lookups tally from the flush thread while snapshots and merges
+        # read or add to the log from a caller's thread.
+        self._access_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # In-memory store surface (what the engine calls).
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[MPS]:
         """Store lookup; every call (hit or miss) feeds the access log."""
-        self._access_counts[key] = self._access_counts.get(key, 0) + 1
+        with self._access_lock:
+            self._access_counts[key] = self._access_counts.get(key, 0) + 1
         return self.store.get(key)
 
     def put(self, key: str, state: MPS) -> None:
@@ -283,16 +288,18 @@ class PersistentStateStore:
     @property
     def access_counts(self) -> Dict[str, int]:
         """Per-key lookup tally (hits and misses both count as interest)."""
-        return dict(self._access_counts)
+        with self._access_lock:
+            return dict(self._access_counts)
 
     def record_accesses(self, counts: Mapping[str, int]) -> None:
         """Merge external access tallies (e.g. a dying replica's log)."""
-        for key, count in counts.items():
-            self._access_counts[key] = self._access_counts.get(key, 0) + int(count)
+        with self._access_lock:
+            for key, count in counts.items():
+                self._access_counts[key] = self._access_counts.get(key, 0) + int(count)
 
     def save_access_log(self) -> None:
         """Persist the access tallies atomically (also done by snapshot)."""
-        data = json.dumps(self._access_counts, sort_keys=True).encode()
+        data = json.dumps(self.access_counts, sort_keys=True).encode()
         _atomic_write_bytes(self.root / _ACCESS_LOG_NAME, data)
 
     def _load_access_log(self) -> Dict[str, int]:
@@ -445,9 +452,10 @@ class PersistentStateStore:
         entries = self._validated_entries(self.read_payload(manifest))
 
         order = {key: i for i, key in enumerate(manifest.keys)}
+        counts = self.access_counts
         ranked = sorted(
             entries,
-            key=lambda k: (-self._access_counts.get(k, 0), order.get(k, len(order))),
+            key=lambda k: (-counts.get(k, 0), order.get(k, len(order))),
         )
         selected: List[str] = []
         budget = 0

@@ -11,9 +11,9 @@ fan out.  :class:`AsyncServingQueue` sits between the two:
   ``max_batch`` of them are waiting or the oldest has waited ``max_wait_ms``,
   then flushes the whole batch through the classifier as one plan;
 * with ``workers >= 2`` the flush fans the batch's row blocks out over a
-  persistent process pool whose workers attached the serialised landmark
-  store once at start-up (:mod:`repro.serving.store`); the parent assembles
-  the kernel rows and scores them through the classifier's row-wise path;
+  persistent process pool whose workers attached the serving payload once
+  at start-up (:mod:`repro.serving.store`); the parent assembles the kernel
+  rows and scores them through the classifier's one scoring body;
 * a flush's *cold* rows -- memo misses whose states are not in the engine's
   cache either -- are encoded through one stacked gate sweep rather than one
   circuit simulation each, closing the last per-point cost of cold traffic
@@ -169,8 +169,8 @@ class AsyncServingQueue:
     workers:
         ``0`` or ``1`` scores batches in-process.  ``>= 2`` starts a
         persistent process pool; each worker attaches the classifier's
-        serialised landmark store once, and every flush fans its row blocks
-        out over the pool.
+        serving payload once, and every flush fans its row blocks out over
+        the pool.
     seed:
         Seed for the queue's random generator.  The only stochastic knob is
         ``wait_jitter_ms``; with the default jitter of zero the queue is
@@ -702,27 +702,24 @@ class AsyncServingQueue:
         return [out for out in outputs if out is not None]
 
     def _classify_rows(self, rows: np.ndarray, slot: _ModelSlot):
-        # Either path encodes the batch's cache-miss rows in one stacked
-        # sweep (in-process via the classifier's engine; distributed via each
-        # worker's attached-store engine on its row block).
-        if slot.pool is not None and rows.shape[0] >= 2:
-            return self._classify_distributed(rows, slot)
-        return slot.classifier.classify(rows)
+        """Score one batch through the slot's classifier.
 
-    def _classify_distributed(self, rows: np.ndarray, slot: _ModelSlot):
-        """Fan one batch's kernel rows out over the slot's worker pool.
-
-        Scaling happens once here (element-wise, hence batch-invariant), the
-        workers compute their block's landmark overlaps against the attached
-        store, and the assembled rows are scored through the classifier's
-        row-wise path -- bit-identical to an in-process ``classify``.
+        In process this is ``classify``, which encodes the batch's cache-miss
+        rows in one stacked sweep.  With a worker pool, scaling happens once
+        here (element-wise, hence batch-invariant), each worker computes its
+        row block's landmark kernel rows against its attached replica, and
+        the assembled rows go through the classifier's one scoring body --
+        bit-identical to an in-process ``classify``.
         """
-        assert slot.pool is not None
-        Xs = slot.classifier.scale(rows)
-        num_blocks = min(self.workers, Xs.shape[0])
-        blocks = partition_indices(Xs.shape[0], num_blocks)
+        classifier = slot.classifier
+        if slot.pool is None or rows.shape[0] < 2:
+            return classifier.classify(rows)
+        Xs = classifier.scale(rows)
+        blocks = partition_indices(Xs.shape[0], min(self.workers, Xs.shape[0]))
         futures = [
             slot.pool.submit(shared_store_kernel_rows, Xs[block]) for block in blocks
         ]
         kernel_rows = np.vstack([f.result() for f in futures])
-        return slot.classifier.classify_kernel_rows(kernel_rows)
+        return classifier._score(
+            classifier.feature_map.project_kernel_rows(kernel_rows), kernel_rows
+        )

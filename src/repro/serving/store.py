@@ -10,8 +10,9 @@ circuit.
 
 :class:`repro.serving.AsyncServingQueue` with ``workers >= 2`` passes
 :func:`attach_shared_store` as the pool's ``initializer`` with the payload,
-then submits :func:`shared_store_kernel_rows` jobs: each worker encodes only
-the query rows of its block and sweeps them against the attached landmarks.
+then submits :func:`shared_store_kernel_rows` jobs: each worker runs
+:meth:`~repro.approx.NystroemFeatureMap.landmark_kernel_rows` on the query
+rows of its block -- the same method an in-process ``classify`` runs.
 The attached replica is a
 :meth:`~repro.approx.StreamingNystroemClassifier.from_serving_payload`
 rebuild, so its kernel rows are bit-identical to the classifier it came
@@ -45,7 +46,4 @@ def shared_store_kernel_rows(X_scaled: np.ndarray) -> np.ndarray:
             "worker has no attached landmark store; "
             "was the pool created with attach_shared_store as initializer?"
         )
-    fmap = _ATTACHED.feature_map
-    return fmap.engine.kernel_rows(
-        X_scaled, fmap.landmark_states_, block=fmap.landmark_block_
-    ).matrix
+    return _ATTACHED.feature_map.landmark_kernel_rows(X_scaled).matrix

@@ -22,6 +22,7 @@ from repro.approx import (
 from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.exceptions import DriftError, ReproError
+from repro.serving import AsyncServingQueue
 from repro.svm.conformal import SplitConformalClassifier
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
@@ -255,7 +256,9 @@ def test_coverage_recovers_after_adaptation_and_swap(drifted_stream):
     resolved = 0
     versions = []
 
-    with engine.serving_queue(max_batch=8, max_wait_ms=2.0) as queue:
+    with AsyncServingQueue(
+        engine.streaming_classifier(), max_batch=8, max_wait_ms=2.0
+    ) as queue:
         controller = DriftController(
             engine.streaming_classifier(),
             conformal,

@@ -102,3 +102,16 @@ def test_more_landmarks_than_samples_raises(engine, X):
     fmap = NystroemFeatureMap(engine, NystroemConfig(num_landmarks=X.shape[0] + 1))
     with pytest.raises(KernelError):
         fmap.fit(X)
+
+
+def test_fit_equals_fit_with_landmarks_on_the_selected_rows(ansatz, X):
+    """``fit`` is landmark selection followed by ``fit_with_landmarks``."""
+    config = NystroemConfig(num_landmarks=6, strategy="kmeans", seed=3)
+    selected = NystroemFeatureMap(KernelEngine(ansatz), config).fit(X)
+    supplied = NystroemFeatureMap(KernelEngine(ansatz), config).fit_with_landmarks(
+        X, X[selected.landmark_indices_]
+    )
+    assert selected.normalization_.tobytes() == supplied.normalization_.tobytes()
+    assert selected.train_features_.tobytes() == supplied.train_features_.tobytes()
+    assert np.array_equal(selected.landmark_rows_, supplied.landmark_rows_)
+    assert supplied.landmark_indices_ is None

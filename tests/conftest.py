@@ -7,8 +7,42 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.approx import NystroemConfig
 from repro.config import AnsatzConfig
+from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
+
+#: Ansatz of the serving suites' small fitted Nystrom model.
+SERVED_ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
+
+
+@pytest.fixture(scope="session")
+def fit_served_engine():
+    """Factory for the serving suites' small fitted Nystrom-backed engine.
+
+    ``fit_served_engine(data_seed, size, subsample_seed, landmarks)`` draws a
+    balanced ``size``-row subsample (seed ``subsample_seed``) of a 400-row,
+    4-feature Elliptic-like dataset (seed ``data_seed``) and fits a
+    :class:`QuantumKernelInferenceEngine` on it with ``landmarks`` Nystrom
+    landmarks (selector seed ``landmark_seed``).  Each suite wraps it in its
+    own module-scoped ``served_engine`` fixture with its own seeds.
+    """
+
+    def fit(data_seed, size, subsample_seed, landmarks, landmark_seed=0):
+        data = balanced_subsample(
+            generate_elliptic_like(
+                DatasetSpec(num_samples=400, num_features=4, seed=data_seed)
+            ),
+            size,
+            seed=subsample_seed,
+        )
+        engine = QuantumKernelInferenceEngine(
+            SERVED_ANSATZ,
+            approximation=NystroemConfig(num_landmarks=landmarks, seed=landmark_seed),
+        )
+        return engine.fit(data.features, data.labels)
+
+    return fit
 
 
 @pytest.fixture(scope="session")

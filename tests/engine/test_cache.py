@@ -223,3 +223,60 @@ def test_keys_and_entry_sizes_follow_lru_order():
     assert set(sizes) == {"a", "b"}
     assert sizes["a"] == _product_state(2).memory_bytes
     assert sum(sizes.values()) == store.bytes_in_use
+
+
+# ----------------------------------------------------------------------
+# Concurrency
+# ----------------------------------------------------------------------
+def test_store_survives_concurrent_writers_and_merges():
+    """Two get/put threads plus a dump/load merge thread on one store.
+
+    The merge thread is what ``ReplicaRouter.snapshot()`` and
+    ``kill_replica()`` do to a live replica's store.  Without the store's
+    lock this interleaving raised ``KeyError`` and left ``bytes_in_use``
+    out of step with the entries actually held.
+    """
+    import sys
+    import threading
+
+    state = _product_state(3)
+    store = StateStore(max_bytes=4 * state.memory_bytes)
+    errors = []
+    ops = 20_000
+
+    def writer(offset: int) -> None:
+        try:
+            for i in range(ops):
+                key = str((offset + i) % 10)
+                if store.get(key) is None:
+                    store.put(key, state)
+        except Exception as exc:  # pragma: no cover - the failure under test
+            errors.append(exc)
+
+    def merger() -> None:
+        try:
+            for _ in range(200):
+                store.load_entries(store.dump_entries())
+        except Exception as exc:  # pragma: no cover - the failure under test
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=writer, args=(0,)),
+        threading.Thread(target=writer, args=(5,)),
+        threading.Thread(target=merger),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert store.bytes_in_use == sum(store.entry_sizes().values())
+    assert store.bytes_in_use <= store.max_bytes
+    assert len(store) <= 4

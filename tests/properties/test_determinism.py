@@ -20,6 +20,7 @@ from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.engine import KernelEngine
+from repro.serving import AsyncServingQueue
 
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
@@ -80,7 +81,9 @@ def test_serving_queue_double_run_is_identical():
             ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=0)
         )
         engine.fit(data.features, data.labels)
-        with engine.serving_queue(max_batch=5, max_wait_ms=1.0, seed=11) as queue:
+        with AsyncServingQueue(
+            engine.streaming_classifier(), max_batch=5, max_wait_ms=1.0, seed=11
+        ) as queue:
             futures = queue.submit_many(queries)
             return [f.result(timeout=60).decision_value for f in futures]
 

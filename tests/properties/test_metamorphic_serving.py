@@ -14,27 +14,18 @@ import pytest
 
 from repro.approx import NystroemConfig, NystroemFeatureMap
 from repro.config import AnsatzConfig
-from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.engine import KernelEngine, StackedStateBlock
+from repro.serving import AsyncServingQueue
 
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
 
 
 @pytest.fixture(scope="module")
-def served_engine():
+def served_engine(fit_served_engine):
     """A small fitted Nystrom-backed inference engine."""
-    data = balanced_subsample(
-        generate_elliptic_like(DatasetSpec(num_samples=400, num_features=4, seed=11)),
-        28,
-        seed=3,
-    )
-    engine = QuantumKernelInferenceEngine(
-        ANSATZ, approximation=NystroemConfig(num_landmarks=8, seed=0)
-    )
-    engine.fit(data.features, data.labels)
-    return engine
+    return fit_served_engine(data_seed=11, size=28, subsample_seed=3, landmarks=8)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +53,9 @@ def test_batched_equals_sequential_classify(served_engine, queries):
 def test_queue_equals_sequential_classify(served_engine, queries):
     clf = served_engine.streaming_classifier()
     reference = clf.classify(queries)
-    with served_engine.serving_queue(max_batch=7, max_wait_ms=2.0) as queue:
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(), max_batch=7, max_wait_ms=2.0
+    ) as queue:
         futures = queue.submit_many(queries)
         results = [f.result(timeout=60) for f in futures]
     decisions = np.array([r.decision_value for r in results])
@@ -77,7 +70,9 @@ def test_queue_memo_returns_byte_identical_repeats(served_engine, queries):
     clf = served_engine.streaming_classifier()
     reference = clf.classify(queries)
     repeated = np.vstack([queries, queries[::-1]])
-    with served_engine.serving_queue(max_batch=16, max_wait_ms=2.0) as queue:
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(), max_batch=16, max_wait_ms=2.0
+    ) as queue:
         results = [f.result(timeout=60) for f in queue.submit_many(repeated)]
     decisions = np.array([r.decision_value for r in results])
     assert np.array_equal(decisions[: len(queries)], reference.decision_values)
@@ -117,10 +112,9 @@ def test_duplicate_input_consistency(served_engine, queries):
 # ----------------------------------------------------------------------
 def test_block_sweep_matches_plan_path(served_engine, queries):
     engine = served_engine.engine
-    feature_map = served_engine._feature_map
-    assert feature_map is not None
-    states = feature_map.landmark_states_
-    Xs = served_engine._scaler.transform(queries)
+    clf = served_engine.streaming_classifier()
+    states = clf.feature_map.landmark_states_
+    Xs = clf.scale(queries)
     with_block = engine.kernel_rows(
         Xs, states, block=StackedStateBlock(states)
     ).matrix

@@ -12,27 +12,13 @@ naming convention); predictions ride along byte-identical as always.
 import numpy as np
 import pytest
 
-from repro.approx import NystroemConfig
-from repro.config import AnsatzConfig
-from repro.core import QuantumKernelInferenceEngine
-from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
+from repro.serving import AsyncServingQueue, ReplicaRouter
 from repro.telemetry import MetricsRegistry, bind_queue, bind_router
-
-ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
 
 
 @pytest.fixture(scope="module")
-def served_engine():
-    data = balanced_subsample(
-        generate_elliptic_like(DatasetSpec(num_samples=400, num_features=4, seed=11)),
-        24,
-        seed=3,
-    )
-    engine = QuantumKernelInferenceEngine(
-        ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=0)
-    )
-    engine.fit(data.features, data.labels)
-    return engine
+def served_engine(fit_served_engine):
+    return fit_served_engine(data_seed=11, size=24, subsample_seed=3, landmarks=6)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +35,9 @@ def queries():
 def _serve_queue(served_engine, queries, **queue_kwargs):
     """One full pass through a fresh queue; returns (snapshot, decisions)."""
     registry = MetricsRegistry()
-    with served_engine.serving_queue(**queue_kwargs) as queue:
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(), **queue_kwargs
+    ) as queue:
         bind_queue(registry, queue)
         futures = [queue.submit(row) for row in queries]
         queue.flush()
@@ -60,8 +48,6 @@ def _serve_queue(served_engine, queries, **queue_kwargs):
 
 
 def _serve_router(payload, queries, num_replicas, **router_kwargs):
-    from repro.serving import ReplicaRouter
-
     registry = MetricsRegistry()
     router = ReplicaRouter(
         payload,
@@ -176,8 +162,6 @@ def test_warm_start_serves_without_simulations(payload, queries, tmp_path):
 
     # Persist the warmed cache, then serve the same stream from a fresh
     # fleet warmed from disk.
-    from repro.serving import ReplicaRouter
-
     router = ReplicaRouter(
         payload, num_replicas=1, persistence_root=root, max_batch=4
     )

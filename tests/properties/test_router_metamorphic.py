@@ -10,29 +10,15 @@ against the single-process streaming classifier.
 import numpy as np
 import pytest
 
-from repro.approx import NystroemConfig
-from repro.config import AnsatzConfig
-from repro.core import QuantumKernelInferenceEngine
-from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.serving import ROUTING_POLICIES, ReplicaRouter
 
-ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
 
 REPLICA_COUNTS = (1, 2, 4)
 
 
 @pytest.fixture(scope="module")
-def served_engine():
-    data = balanced_subsample(
-        generate_elliptic_like(DatasetSpec(num_samples=400, num_features=4, seed=29)),
-        20,
-        seed=4,
-    )
-    engine = QuantumKernelInferenceEngine(
-        ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=0)
-    )
-    engine.fit(data.features, data.labels)
-    return engine
+def served_engine(fit_served_engine):
+    return fit_served_engine(data_seed=29, size=20, subsample_seed=4, landmarks=6)
 
 
 @pytest.fixture(scope="module")

@@ -19,15 +19,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro.approx import NystroemConfig, StreamingNystroemClassifier
-from repro.config import AnsatzConfig
-from repro.core import QuantumKernelInferenceEngine
-from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
+from repro.approx import StreamingNystroemClassifier
 from repro.serving import PersistentStateStore, ReplicaRouter
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
-ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
 
 # The serving process that gets SIGKILLed: fit, serve, snapshot, die hard.
 # It persists its payload and its served outputs so the restarted process
@@ -145,17 +141,8 @@ def test_kill_and_restart_warm_starts_a_router_fleet(crashed_server):
 # Replica-level faults inside one process
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def served_engine():
-    data = balanced_subsample(
-        generate_elliptic_like(DatasetSpec(num_samples=400, num_features=4, seed=31)),
-        20,
-        seed=2,
-    )
-    engine = QuantumKernelInferenceEngine(
-        ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=0)
-    )
-    engine.fit(data.features, data.labels)
-    return engine
+def served_engine(fit_served_engine):
+    return fit_served_engine(data_seed=31, size=20, subsample_seed=2, landmarks=6)
 
 
 @pytest.fixture(scope="module")

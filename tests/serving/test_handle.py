@@ -6,32 +6,14 @@ import numpy as np
 import pytest
 
 import repro
-from repro.approx import NystroemConfig
-from repro.config import AnsatzConfig, ServingConfig, TuningConfig
-from repro.core import QuantumKernelInferenceEngine
-from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
+from repro.config import ServingConfig, TuningConfig
 from repro.exceptions import ServingError
 from repro.serving import ServingHandle, resolve_serving_payload, serve
 
-ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
-
-
-def _fit_engine(landmark_seed=0):
-    data = balanced_subsample(
-        generate_elliptic_like(DatasetSpec(num_samples=400, num_features=4, seed=31)),
-        20,
-        seed=2,
-    )
-    engine = QuantumKernelInferenceEngine(
-        ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=landmark_seed)
-    )
-    engine.fit(data.features, data.labels)
-    return engine
-
 
 @pytest.fixture(scope="module")
-def served_engine():
-    return _fit_engine()
+def served_engine(fit_served_engine):
+    return fit_served_engine(data_seed=31, size=20, subsample_seed=2, landmarks=6)
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +81,10 @@ def test_metrics_view_carries_a_control_section(payload, queries):
     assert control["knobs"]["max_batch"] == TuningConfig().max_batch
 
 
-def test_swap_rolls_a_new_model_across_the_fleet(payload, queries):
-    replacement = _fit_engine(landmark_seed=5)
+def test_swap_rolls_a_new_model_across_the_fleet(fit_served_engine, payload, queries):
+    replacement = fit_served_engine(
+        data_seed=31, size=20, subsample_seed=2, landmarks=6, landmark_seed=5
+    )
     expected = replacement.streaming_classifier().classify(queries)
     with serve(payload, ServingConfig(num_replicas=2)) as handle:
         before = handle.predict(queries[0])

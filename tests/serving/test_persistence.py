@@ -15,30 +15,16 @@ import numpy as np
 import pytest
 
 import repro.serving.persistence as persistence_module
-from repro.approx import NystroemConfig, StreamingNystroemClassifier
-from repro.config import AnsatzConfig
-from repro.core import QuantumKernelInferenceEngine
-from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
+from repro.approx import StreamingNystroemClassifier
 from repro.engine import StateStore
 from repro.exceptions import PersistenceError
 from repro.mps import MPS
 from repro.serving import PersistentStateStore, SnapshotManifest
 
-ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
-
 
 @pytest.fixture(scope="module")
-def served_engine():
-    data = balanced_subsample(
-        generate_elliptic_like(DatasetSpec(num_samples=400, num_features=4, seed=31)),
-        20,
-        seed=2,
-    )
-    engine = QuantumKernelInferenceEngine(
-        ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=0)
-    )
-    engine.fit(data.features, data.labels)
-    return engine
+def served_engine(fit_served_engine):
+    return fit_served_engine(data_seed=31, size=20, subsample_seed=2, landmarks=6)
 
 
 @pytest.fixture(scope="module")

@@ -6,31 +6,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro.approx import NystroemConfig, StreamingNystroemClassifier
-from repro.config import AnsatzConfig
-from repro.core import QuantumKernelInferenceEngine
-from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
+from repro.approx import StreamingNystroemClassifier
 from repro.exceptions import ReproError, ServingError, SVMError
 from repro.profiling import ServingMetrics
 from repro.serving import AsyncServingQueue, ServedPrediction
 from repro.serving.store import attach_shared_store, shared_store_kernel_rows
 
 
-ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
-
-
 @pytest.fixture(scope="module")
-def served_engine():
-    data = balanced_subsample(
-        generate_elliptic_like(DatasetSpec(num_samples=400, num_features=4, seed=31)),
-        24,
-        seed=2,
-    )
-    engine = QuantumKernelInferenceEngine(
-        ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=0)
-    )
-    engine.fit(data.features, data.labels)
-    return engine
+def served_engine(fit_served_engine):
+    return fit_served_engine(data_seed=31, size=24, subsample_seed=2, landmarks=6)
 
 
 @pytest.fixture(scope="module")
@@ -55,13 +40,13 @@ def test_queue_validates_parameters(served_engine):
 
 
 def test_queue_rejects_malformed_rows(served_engine):
-    with served_engine.serving_queue(max_batch=4) as queue:
+    with AsyncServingQueue(served_engine.streaming_classifier(), max_batch=4) as queue:
         with pytest.raises(ServingError):
             queue.submit(np.zeros(3))
 
 
 def test_queue_rejects_after_close(served_engine, queries):
-    queue = served_engine.serving_queue(max_batch=4)
+    queue = AsyncServingQueue(served_engine.streaming_classifier(), max_batch=4)
     queue.close()
     with pytest.raises(ServingError):
         queue.submit(queries[0])
@@ -69,7 +54,9 @@ def test_queue_rejects_after_close(served_engine, queries):
 
 
 def test_close_flushes_pending_requests(served_engine, queries):
-    queue = served_engine.serving_queue(max_batch=64, max_wait_ms=10_000.0)
+    queue = AsyncServingQueue(
+        served_engine.streaming_classifier(), max_batch=64, max_wait_ms=10_000.0
+    )
     futures = queue.submit_many(queries)
     queue.close()
     results = [f.result(timeout=10) for f in futures]
@@ -81,7 +68,9 @@ def test_close_flushes_pending_requests(served_engine, queries):
 
 
 def test_flush_forces_partial_batch(served_engine, queries):
-    with served_engine.serving_queue(max_batch=64, max_wait_ms=10_000.0) as queue:
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(), max_batch=64, max_wait_ms=10_000.0
+    ) as queue:
         futures = queue.submit_many(queries[:3])
         queue.flush()
         results = [f.result(timeout=10) for f in futures]
@@ -89,7 +78,9 @@ def test_flush_forces_partial_batch(served_engine, queries):
 
 
 def test_max_wait_flushes_without_full_batch(served_engine, queries):
-    with served_engine.serving_queue(max_batch=64, max_wait_ms=20.0) as queue:
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(), max_batch=64, max_wait_ms=20.0
+    ) as queue:
         future = queue.submit(queries[0])
         result = future.result(timeout=10)
     assert result.batch_size == 1
@@ -116,7 +107,8 @@ def test_queue_propagates_classifier_errors(served_engine, queries):
 
 
 def test_memo_hits_and_capacity(served_engine, queries):
-    with served_engine.serving_queue(
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(),
         max_batch=4, max_wait_ms=1.0, memo_capacity=2
     ) as queue:
         for _ in range(3):
@@ -127,7 +119,8 @@ def test_memo_hits_and_capacity(served_engine, queries):
 
 
 def test_memo_can_be_disabled(served_engine, queries):
-    with served_engine.serving_queue(
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(),
         max_batch=4, max_wait_ms=1.0, memoize=False
     ) as queue:
         futures = queue.submit_many(np.vstack([queries[:2], queries[:2]]))
@@ -137,7 +130,9 @@ def test_memo_can_be_disabled(served_engine, queries):
 
 
 def test_queue_metrics_accounting(served_engine, queries):
-    with served_engine.serving_queue(max_batch=4, max_wait_ms=1.0) as queue:
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(), max_batch=4, max_wait_ms=1.0
+    ) as queue:
         futures = queue.submit_many(queries)
         [f.result(timeout=10) for f in futures]
         queue.flush()
@@ -159,7 +154,9 @@ def test_served_prediction_validates():
 def test_concurrent_submitters_all_served(served_engine, queries):
     """Many threads submitting at once: every request resolves correctly."""
     reference = served_engine.streaming_classifier().classify(queries)
-    with served_engine.serving_queue(max_batch=5, max_wait_ms=2.0) as queue:
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(), max_batch=5, max_wait_ms=2.0
+    ) as queue:
         results = {}
 
         def submit_one(i):
@@ -211,7 +208,7 @@ def test_shared_store_rejects_incomplete_payload(served_engine):
         attach_shared_store(payload)
     # A swap onto a malformed payload fails the same way, before any slot
     # changes, and the queue keeps serving the old model.
-    with served_engine.serving_queue(max_batch=4) as queue:
+    with AsyncServingQueue(served_engine.streaming_classifier(), max_batch=4) as queue:
         with pytest.raises(SVMError, match="missing keys"):
             queue.swap_payload(payload)
         assert queue.model_version == 0
@@ -231,7 +228,8 @@ def test_worker_task_requires_attachment():
 
 def test_two_worker_queue_matches_in_process(served_engine, queries):
     reference = served_engine.streaming_classifier().classify(queries)
-    with served_engine.serving_queue(
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(),
         max_batch=6, max_wait_ms=2.0, workers=2, memoize=False
     ) as queue:
         futures = queue.submit_many(queries)

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.approx import NystroemConfig
-from repro.config import AnsatzConfig, ServingConfig, TuningConfig
-from repro.core import QuantumKernelInferenceEngine
-from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
+from repro.config import ServingConfig, TuningConfig
 from repro.exceptions import LoadShedError, ServingError
 from repro.profiling import RouterMetrics, ServingMetrics
 from repro.serving import (
@@ -17,21 +14,10 @@ from repro.serving import (
     make_routing_policy,
 )
 
-ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
-
 
 @pytest.fixture(scope="module")
-def served_engine():
-    data = balanced_subsample(
-        generate_elliptic_like(DatasetSpec(num_samples=400, num_features=4, seed=31)),
-        20,
-        seed=2,
-    )
-    engine = QuantumKernelInferenceEngine(
-        ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=0)
-    )
-    engine.fit(data.features, data.labels)
-    return engine
+def served_engine(fit_served_engine):
+    return fit_served_engine(data_seed=31, size=20, subsample_seed=2, landmarks=6)
 
 
 @pytest.fixture(scope="module")

@@ -7,12 +7,8 @@ from urllib.request import urlopen
 import numpy as np
 import pytest
 
-from repro.approx import NystroemConfig
-from repro.config import AnsatzConfig
-from repro.core import QuantumKernelInferenceEngine
-from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.exceptions import SVMError, TelemetryError
-from repro.serving import ReplicaRouter
+from repro.serving import AsyncServingQueue, ReplicaRouter
 from repro.svm import SplitConformalClassifier
 from repro.telemetry import (
     TRACER,
@@ -23,21 +19,10 @@ from repro.telemetry import (
     parse_prometheus_text,
 )
 
-ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
-
 
 @pytest.fixture(scope="module")
-def served_engine():
-    data = balanced_subsample(
-        generate_elliptic_like(DatasetSpec(num_samples=400, num_features=4, seed=31)),
-        20,
-        seed=2,
-    )
-    engine = QuantumKernelInferenceEngine(
-        ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=0)
-    )
-    engine.fit(data.features, data.labels)
-    return engine
+def served_engine(fit_served_engine):
+    return fit_served_engine(data_seed=31, size=20, subsample_seed=2, landmarks=6)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +60,9 @@ def _get_text(url):
 # /metrics against a live queue
 # ----------------------------------------------------------------------
 def test_queue_endpoint_serves_parseable_metrics(served_engine, queries):
-    with served_engine.serving_queue(max_batch=4, max_wait_ms=2.0) as queue:
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(), max_batch=4, max_wait_ms=2.0
+    ) as queue:
         with attach_endpoint(queue) as server:
             futures = [queue.submit(row) for row in queries]
             queue.flush()
@@ -110,7 +97,7 @@ def test_queue_endpoint_serves_parseable_metrics(served_engine, queries):
 
 
 def test_queue_health_reflects_lifecycle(served_engine):
-    queue = served_engine.serving_queue(max_batch=4)
+    queue = AsyncServingQueue(served_engine.streaming_classifier(), max_batch=4)
     with attach_endpoint(queue) as server:
         health, status = _get_json(server.url + "/health")
         assert status == 200
@@ -123,7 +110,7 @@ def test_queue_health_reflects_lifecycle(served_engine):
 
 
 def test_unknown_path_is_404(served_engine):
-    with served_engine.serving_queue(max_batch=4) as queue:
+    with AsyncServingQueue(served_engine.streaming_classifier(), max_batch=4) as queue:
         with attach_endpoint(queue) as server:
             with pytest.raises(HTTPError) as err:
                 urlopen(server.url + "/nope")
@@ -184,7 +171,9 @@ def test_attach_endpoint_rejects_unknown_targets():
 # Tracing through the serving stack
 # ----------------------------------------------------------------------
 def test_traced_request_yields_linked_span_tree(served_engine, queries, tracing):
-    with served_engine.serving_queue(max_batch=len(queries), max_wait_ms=5000.0) as queue:
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(), max_batch=len(queries), max_wait_ms=5000.0
+    ) as queue:
         futures = [queue.submit(row) for row in queries]
         queue.flush()
         [f.result(timeout=10) for f in futures]
@@ -219,7 +208,9 @@ def test_traced_request_yields_linked_span_tree(served_engine, queries, tracing)
 
 
 def test_traces_endpoint_serves_json_and_text(served_engine, queries, tracing):
-    with served_engine.serving_queue(max_batch=4, max_wait_ms=2.0) as queue:
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(), max_batch=4, max_wait_ms=2.0
+    ) as queue:
         with attach_endpoint(queue) as server:
             futures = [queue.submit(row) for row in queries[:4]]
             queue.flush()
@@ -242,7 +233,7 @@ def test_traces_endpoint_serves_json_and_text(served_engine, queries, tracing):
 
 
 def test_traces_endpoint_without_tracer_reports_disabled(served_engine):
-    with served_engine.serving_queue(max_batch=4) as queue:
+    with AsyncServingQueue(served_engine.streaming_classifier(), max_batch=4) as queue:
         registry = MetricsRegistry()
         with TelemetryServer(registry, tracer=None) as server:
             dump, _ = _get_json(server.url + "/traces/recent")
@@ -258,7 +249,9 @@ def test_disabled_telemetry_leaves_predictions_byte_identical(
     assert TRACER.enabled is False  # the module default
 
     def serve():
-        with served_engine.serving_queue(max_batch=4, max_wait_ms=2.0) as queue:
+        with AsyncServingQueue(
+            served_engine.streaming_classifier(), max_batch=4, max_wait_ms=2.0
+        ) as queue:
             futures = [queue.submit(row) for row in queries]
             queue.flush()
             return [f.result(timeout=10) for f in futures]
@@ -281,7 +274,9 @@ def test_disabled_telemetry_leaves_predictions_byte_identical(
 
 def test_disabled_tracer_records_nothing(served_engine, queries):
     TRACER.reset()
-    with served_engine.serving_queue(max_batch=4, max_wait_ms=2.0) as queue:
+    with AsyncServingQueue(
+        served_engine.streaming_classifier(), max_batch=4, max_wait_ms=2.0
+    ) as queue:
         futures = [queue.submit(row) for row in queries[:4]]
         queue.flush()
         [f.result(timeout=10) for f in futures]
